@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,11 @@ from .tomography import (
     simulate_counts,
     witness_report,
 )
-from .topology import skyrmion_number, suggested_grid
+from .topology import _window_grid, skyrmion_number, texture_for_state
 
 RESIDUAL_WARN = 1e-2
+# rows formatted per piece of CSV text; bounds the memory a large grid takes
+_CSV_CHUNK_ROWS = 1024
 
 DEFAULTS = {
     "delta": 0.0,
@@ -77,9 +79,12 @@ class SweepConfig:
     out_dir: str | None = None
 
     def grid(self) -> GridSpec:
-        if self.half_width is None:
-            return suggested_grid(self.state, self.samples, waist=self.waist)
-        return GridSpec(self.half_width * self.waist, self.samples)
+        half_width = None if self.half_width is None else self.half_width * self.waist
+        return _window_grid(self.state, self.samples, half_width, waist=self.waist)
+
+
+_SWEEP_COLUMNS = ("p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,"
+                  "residual,masked_fraction")
 
 
 @dataclass
@@ -92,6 +97,7 @@ class SweepRow:
     skyrmion_number: float
     residual: float
     masked_fraction: float
+    converged: bool = True  # False if the point's MLE reconstruction did not converge
 
 
 _KNOWN_KEYS = {
@@ -228,34 +234,49 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _texture_number(rho, coeffs):
-    field = normalize_stokes(stokes_field(rho, coeffs))
-    return skyrmion_number(field)
+def _csv_chunks(columns: str, rows):
+    """The column line, then one line per row in chunks of text, every value
+    formatted like :func:`_fmt` (integers print without a decimal point)."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, columns.count(",") + 1)
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    yield columns + "\n"
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[start : start + _CSV_CHUNK_ROWS]
+        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _write_csv(path, header_lines, columns: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(h + "\n" for h in header_lines)
+        fh.writelines(_csv_chunks(columns, rows))
+
+
+def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
+    """Record of ``rho`` at the pair rate, window and duration of ``source``,
+    with the noise rate that targets the contrast channel weight ``p`` implies."""
+    qc_ceiling = 1.0 + 1.0 / (source.window * source.duration * source.pair_rate)
+    target = min(max(contrast_from_p(p), 1.005), qc_ceiling)
+    noise = noise_rate_for_contrast(target, pair_rate=source.pair_rate,
+                                    window=source.window, duration=source.duration)
+    return simulate_counts(
+        rho, pair_rate=source.pair_rate, noise_rate_a=noise, noise_rate_b=noise,
+        window=source.window, duration=source.duration,
+        mode="deterministic" if deterministic else "poisson", seed=seed,
+    )
 
 
 def _sweep_point(cfg: SweepConfig, coeffs, p: float, index: int, deterministic: bool):
     """One sweep row: channel (or simulate+reconstruct), witnesses, N."""
-    rho_exact = apply_isotropic_noise(pure_state(cfg.state), p)
-    if cfg.pipeline == "analytic":
-        rho = rho_exact
-        qc = contrast_from_p(p)
-    else:
-        # generator noise rate targeting the contrast this p implies
-        qc_ceiling = 1.0 + 1.0 / (cfg.window * cfg.duration * cfg.pair_rate)
-        target = min(max(contrast_from_p(p), 1.005), qc_ceiling)
-        noise = noise_rate_for_contrast(
-            target, pair_rate=cfg.pair_rate, window=cfg.window, duration=cfg.duration)
-        record = simulate_counts(
-            rho_exact,
-            pair_rate=cfg.pair_rate, noise_rate_a=noise, noise_rate_b=noise,
-            window=cfg.window, duration=cfg.duration,
-            mode="deterministic" if deterministic else "poisson",
-            seed=cfg.seed + index,
-        )
-        rho = mle_reconstruct(record).rho
+    rho = apply_isotropic_noise(pure_state(cfg.state), p)
+    qc = contrast_from_p(p)
+    converged = True
+    if cfg.pipeline == "tomographic":
+        record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
+        estimate = mle_reconstruct(record)
+        rho, converged = estimate.rho, estimate.converged
         qc = average_quantum_contrast(record)
     witnesses = witness_report(rho, cfg.state)
-    result = _texture_number(rho, coeffs)
+    result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
     return SweepRow(
         p=p,
         quantum_contrast=qc,
@@ -265,6 +286,7 @@ def _sweep_point(cfg: SweepConfig, coeffs, p: float, index: int, deterministic: 
         skyrmion_number=result.number,
         residual=result.residual,
         masked_fraction=result.masked_fraction,
+        converged=converged,
     )
 
 
@@ -283,21 +305,20 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
     return rows
 
 
+def _sweep_table(rows: list[SweepRow]) -> list[list[float]]:
+    return [[getattr(r, key) for key in _SWEEP_COLUMNS.split(",")] for r in rows]
+
+
 def write_sweep_csv(rows: list[SweepRow], cfg: SweepConfig, path) -> None:
-    lines = [
+    grid = cfg.grid()
+    _write_csv(path, [
         f"# state = ({cfg.state.ell1}, {cfg.state.ell2}, delta={_fmt(cfg.state.delta)})",
         f"# pipeline = {cfg.pipeline}",
         f"# sweep = {cfg.sweep_var}",
-        f"# grid = {cfg.grid().samples_per_axis} x {cfg.grid().samples_per_axis},"
-        f" half_width = {_fmt(cfg.grid().half_width)}",
+        f"# grid = {grid.samples_per_axis} x {grid.samples_per_axis},"
+        f" half_width = {_fmt(grid.half_width)}",
         f"# seed = {cfg.seed}",
-        "p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,residual,masked_fraction",
-    ]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.p, r.quantum_contrast, r.purity, r.concurrence, r.fidelity,
-            r.skyrmion_number, r.residual, r.masked_fraction)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    ], _SWEEP_COLUMNS, _sweep_table(rows))
 
 
 @dataclass
@@ -313,16 +334,10 @@ class GalleryRow:
         return round(self.number_clean) == round(self.number_noisy)
 
 
-def _write_texture_csv(field, grid: GridSpec, path, header_lines) -> None:
-    x = grid.axis()
-    lines = list(header_lines)
-    lines.append("x,y,s1,s2,s3")
-    vec = field.vectors
-    for i in range(grid.samples_per_axis):
-        for j in range(grid.samples_per_axis):
-            lines.append(",".join(_fmt(v) for v in (
-                x[i], x[j], vec[i, j, 0], vec[i, j, 1], vec[i, j, 2])))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _grid_table(grid, values: np.ndarray) -> np.ndarray:
+    """Rows (x, y, values at that point...) over every grid point, in [i, j] order."""
+    X, Y = grid.mesh()
+    return np.column_stack([X.ravel(), Y.ravel(), values.reshape(X.size, -1)])
 
 
 def run_topology_gallery(
@@ -348,22 +363,18 @@ def run_topology_gallery(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     for spec in specs:
-        grid = suggested_grid(spec, samples, waist=waist)
-        coeffs = coeff_field(spec, grid, waist=waist)
         results = {}
         for tag, weight in (("clean", 1.0), ("noisy", p)):
-            rho = apply_isotropic_noise(pure_state(spec), weight)
-            field = normalize_stokes(stokes_field(rho, coeffs))
+            field = texture_for_state(spec, weight, waist=waist, samples=samples)
             res = skyrmion_number(field)
             results[tag] = res
             if out is not None:
-                name = f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv"
-                _write_texture_csv(field, grid, out / name, [
+                _write_csv(out / f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv", [
                     f"# state = ({spec.ell1}, {spec.ell2}, delta={_fmt(spec.delta)})",
                     f"# p = {_fmt(weight)}",
                     f"# skyrmion_number = {_fmt(res.number)}",
-                    f"# half_width = {_fmt(grid.half_width)}",
-                ])
+                    f"# half_width = {_fmt(field.grid.half_width)}",
+                ], "x,y,s1,s2,s3", _grid_table(field.grid, field.vectors))
         rows.append(GalleryRow(
             state=spec,
             number_clean=results["clean"].number,
@@ -372,19 +383,14 @@ def run_topology_gallery(
             residual_noisy=results["noisy"].residual,
         ))
     if out is not None:
-        lines = [
-            f"# p = {_fmt(p)}",
-            "ell1,ell2,delta,n_clean,n_noisy,residual_clean,residual_noisy,matched",
-        ]
-        for r in rows:
-            lines.append(",".join([
-                str(r.state.ell1), str(r.state.ell2), _fmt(r.state.delta),
-                _fmt(r.number_clean), _fmt(r.number_noisy),
-                _fmt(r.residual_clean), _fmt(r.residual_noisy),
-                str(int(r.matched)),
-            ]))
-        (out / "gallery.csv").write_text("\n".join(lines) + "\n")
+        _write_csv(out / "gallery.csv", [f"# p = {_fmt(p)}"],
+                   "ell1,ell2,delta,n_clean,n_noisy,residual_clean,residual_noisy,matched",
+                   [[r.state.ell1, r.state.ell2, r.state.delta, r.number_clean, r.number_noisy,
+                     r.residual_clean, r.residual_noisy, r.matched] for r in rows])
     return rows
+
+
+_CONVERGENCE_COLUMNS = "resolution,skyrmion_number,residual"  # ConvergenceRow's fields
 
 
 def run_convergence(
@@ -401,30 +407,11 @@ def run_convergence(
 
     rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
     if out is not None:
-        lines = [
+        _write_csv(out, [
             f"# state = ({spec.ell1}, {spec.ell2}, delta={_fmt(spec.delta)})",
             f"# p = {_fmt(p)}",
-            "resolution,skyrmion_number,residual",
-        ]
-        for row in rows:
-            lines.append(f"{row.resolution},{_fmt(row.number)},{_fmt(row.residual)}")
-        Path(out).write_text("\n".join(lines) + "\n")
+        ], _CONVERGENCE_COLUMNS, [astuple(row) for row in rows])
     return rows
-
-
-def _write_density_csv(result, path) -> None:
-    grid = result.grid
-    x = grid.axis()
-    lines = [
-        f"# samples_per_axis = {grid.samples_per_axis}",
-        f"# half_width = {_fmt(grid.half_width)}",
-        f"# skyrmion_number = {_fmt(result.number)}",
-        "x,y,density",
-    ]
-    for i in range(grid.samples_per_axis):
-        for j in range(grid.samples_per_axis):
-            lines.append(f"{_fmt(x[i])},{_fmt(x[j])},{_fmt(result.density[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # --- command-line front-end -------------------------------------------------
@@ -444,10 +431,9 @@ def _add_state_args(p, with_p=True):
                        help="isotropic channel weight in [0, 1]")
 
 
-def _grid_from_args(args, state):
-    if args.half_width == "auto":
-        return suggested_grid(state, args.samples, waist=args.waist)
-    return GridSpec(float(args.half_width) * args.waist, args.samples)
+def _half_width_arg(args) -> float | None:
+    """``--half-width`` in length units, or None for the auto window."""
+    return None if args.half_width == "auto" else float(args.half_width) * args.waist
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,30 +489,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_state(args) -> int:
-    state = HybridStateSpec(args.ell1, args.ell2, args.delta)
-    rho = apply_isotropic_noise(pure_state(state), args.p)
-    witnesses = witness_report(rho, state)
+def _print_state(rho, target: HybridStateSpec) -> None:
+    """The density matrix and its witnesses against the pure target state."""
+    witnesses = witness_report(rho, target)
     np.set_printoptions(precision=4, suppress=True)
-    print(f"state: ({state.ell1}, {state.ell2}), delta={state.delta:g}, p={args.p:g}")
-    print("basis: {|l1,P1>, |l1,P2>, |l2,P1>, |l2,P2>}")
     print(rho.matrix)
     print(f"purity      = {witnesses.purity:.6f}")
     print(f"concurrence = {witnesses.concurrence:.6f}")
     print(f"fidelity    = {witnesses.fidelity:.6f}")
+
+
+def _cmd_state(args) -> int:
+    state = HybridStateSpec(args.ell1, args.ell2, args.delta)
+    print(f"state: ({state.ell1}, {state.ell2}), delta={state.delta:g}, p={args.p:g}")
+    print("basis: {|l1,P1>, |l1,P2>, |l2,P1>, |l2,P2>}")
+    _print_state(apply_isotropic_noise(pure_state(state), args.p), state)
     return 0
 
 
 def _cmd_skyrmion(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
-    grid = _grid_from_args(args, state)
-    rho = apply_isotropic_noise(pure_state(state), args.p)
-    coeffs = coeff_field(state, grid, waist=args.waist)
-    result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
+    grid = _window_grid(state, args.samples, _half_width_arg(args), waist=args.waist)
+    result = skyrmion_number(texture_for_state(state, args.p, grid, waist=args.waist))
     print(f"N = {result.number:.6f}  (rounded {result.rounded}, "
           f"residual {result.residual:.2e}, masked {result.masked_fraction:.3f})")
     if args.density_out:
-        _write_density_csv(result, args.density_out)
+        _write_csv(args.density_out, [
+            f"# samples_per_axis = {grid.samples_per_axis}",
+            f"# half_width = {_fmt(grid.half_width)}",
+            f"# skyrmion_number = {_fmt(result.number)}",
+        ], "x,y,density", _grid_table(grid, result.density))
         print(f"density written to {args.density_out}")
     return 2 if result.residual > RESIDUAL_WARN and result.masked_fraction < 1.0 else 0
 
@@ -538,18 +530,14 @@ def _cmd_sweep(args) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     rows = run_sweep(cfg, deterministic=args.deterministic)
-    print("p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,residual,masked_fraction")
-    for r in rows:
-        print(",".join(_fmt(v) for v in (
-            r.p, r.quantum_contrast, r.purity, r.concurrence, r.fidelity,
-            r.skyrmion_number, r.residual, r.masked_fraction)))
+    sys.stdout.writelines(_csv_chunks(_SWEEP_COLUMNS, _sweep_table(rows)))
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(rows, cfg, out / "sweep.csv")
         print(f"sweep written to {out / 'sweep.csv'}")
     high = [r for r in rows if r.residual > RESIDUAL_WARN and r.masked_fraction < 1.0]
-    return 2 if high else 0
+    return 2 if high or not all(r.converged for r in rows) else 0
 
 
 def _parse_state_arg(raw: str) -> HybridStateSpec:
@@ -568,36 +556,19 @@ def _cmd_gallery(args) -> int:
     specs = [_parse_state_arg(s) for s in args.state]
     rows = run_topology_gallery(specs, args.p, samples=args.samples,
                                 waist=args.waist, out_dir=args.out)
-    print("ell1,ell2,n_clean,n_noisy,matched")
-    all_matched = True
-    for r in rows:
-        all_matched &= r.matched
-        print(f"{r.state.ell1},{r.state.ell2},{_fmt(r.number_clean)},"
-              f"{_fmt(r.number_noisy)},{int(r.matched)}")
-    return 0 if all_matched else 2
+    sys.stdout.writelines(_csv_chunks("ell1,ell2,n_clean,n_noisy,matched", [
+        [r.state.ell1, r.state.ell2, r.number_clean, r.number_noisy, r.matched] for r in rows
+    ]))
+    return 0 if all(r.matched for r in rows) else 2
 
 
 def _cmd_tomo(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
-    qc_ceiling = 1.0 + 1.0 / (args.window * args.duration * args.pair_rate)
-    target = min(max(contrast_from_p(args.p), 1.005), qc_ceiling)
-    noise = noise_rate_for_contrast(target, pair_rate=args.pair_rate,
-                                    window=args.window, duration=args.duration)
-    record = simulate_counts(
-        rho_in, pair_rate=args.pair_rate, noise_rate_a=noise, noise_rate_b=noise,
-        window=args.window, duration=args.duration,
-        mode="deterministic" if args.deterministic else "poisson", seed=args.seed,
-    )
+    record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)
     estimate = mle_reconstruct(record)
-    witnesses = witness_report(estimate.rho, state)
-    qc = average_quantum_contrast(record)
-    np.set_printoptions(precision=4, suppress=True)
-    print(f"average quantum contrast = {qc:.4f}")
-    print(estimate.rho.matrix)
-    print(f"purity      = {witnesses.purity:.6f}")
-    print(f"concurrence = {witnesses.concurrence:.6f}")
-    print(f"fidelity    = {witnesses.fidelity:.6f}")
+    print(f"average quantum contrast = {average_quantum_contrast(record):.4f}")
+    _print_state(estimate.rho, state)
     print(f"mle: iterations={estimate.iterations} converged={estimate.converged}")
     if args.out:
         record_to_csv(record, args.out)
@@ -613,12 +584,9 @@ def _cmd_converge(args) -> int:
         raise ConfigError(f"cannot parse resolutions {args.resolutions!r}") from None
     if not resolutions:
         raise ConfigError("resolution list is empty")
-    half_width = None if args.half_width == "auto" else float(args.half_width) * args.waist
-    rows = run_convergence(state, resolutions, p=args.p, half_width=half_width,
+    rows = run_convergence(state, resolutions, p=args.p, half_width=_half_width_arg(args),
                            waist=args.waist, out=args.out)
-    print("resolution,skyrmion_number,residual")
-    for row in rows:
-        print(f"{row.resolution},{_fmt(row.number)},{_fmt(row.residual)}")
+    sys.stdout.writelines(_csv_chunks(_CONVERGENCE_COLUMNS, [astuple(row) for row in rows]))
     return 2 if rows[-1].residual > RESIDUAL_WARN else 0
 
 

@@ -13,10 +13,10 @@ is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .biphoton import HybridStateSpec
 
@@ -27,23 +27,16 @@ _LOG_TINY = math.log(5e-324)
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One Laguerre-Gaussian mode: charge ell, waist w, radial index p.
-
-    The radial index defaults to 0 (donut modes); nonzero values are
-    accepted but exercised nowhere in the test suite.
-    """
+    """One Laguerre-Gaussian donut mode (radial index 0): charge ell, waist w."""
 
     ell: int
     waist: float = 1.0
-    radial_index: int = 0
 
     def __post_init__(self):
         if int(self.ell) != self.ell:
             raise ValueError("topological charge must be an integer")
         if not (math.isfinite(self.waist) and self.waist > 0):
             raise ValueError(f"waist must be positive, got {self.waist}")
-        if self.radial_index < 0 or int(self.radial_index) != self.radial_index:
-            raise ValueError("radial index must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -60,6 +53,8 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not isinstance(self.samples_per_axis, Integral):
+            raise ValueError(f"samples_per_axis must be an integer, got {self.samples_per_axis!r}")
         if self.samples_per_axis < 16:
             raise ValueError("samples_per_axis must be at least 16")
 
@@ -77,18 +72,6 @@ class GridSpec:
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
         X, Y = self.mesh()
         return np.hypot(X, Y), np.arctan2(Y, X)
-
-    def envelope_contained(self, modes, cutoff: float = 1e-6) -> bool:
-        """Whether every mode envelope has decayed below ``cutoff`` of its
-        peak at the grid boundary."""
-        for mode in modes:
-            r = np.linspace(0, 3 * self.half_width, 2048)
-            prof = np.abs(lg_amplitude(r, 0.0, mode))
-            peak = prof.max()
-            edge = np.abs(lg_amplitude(self.half_width, 0.0, mode))
-            if edge > cutoff * peak:
-                return False
-        return True
 
 
 @dataclass
@@ -115,10 +98,9 @@ class CoeffField:
 def lg_amplitude(r, phi, mode: ModeSpec):
     """Laguerre-Gaussian amplitude LG_ell(r, phi) at the waist plane.
 
-    For radial index 0 this is
-    C (sqrt(2) r / w)^{|ell|} exp(-r^2/w^2) exp(i ell phi) with C chosen so
-    the mode is L2-normalized over the plane.  Scalars or broadcastable
-    arrays are accepted.
+    This is C (sqrt(2) r / w)^{|ell|} exp(-r^2/w^2) exp(i ell phi) with C
+    chosen so the mode is L2-normalized over the plane.  Scalars or
+    broadcastable arrays are accepted.
 
     Parameters
     ----------
@@ -139,18 +121,15 @@ def lg_amplitude(r, phi, mode: ModeSpec):
         raise ValueError("r and phi must be finite")
     if np.any(r < 0):
         raise ValueError("radius must be non-negative")
-    la, p, w = abs(mode.ell), mode.radial_index, mode.waist
-    norm = math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + la))) / w
-    u = 2.0 * (r / w) ** 2
+    la, w = abs(mode.ell), mode.waist
+    norm = math.sqrt(2.0 / (math.pi * math.factorial(la))) / w
     radial = norm * (np.sqrt(2.0) * r / w) ** la * np.exp(-((r / w) ** 2))
-    if p > 0:
-        radial = radial * eval_genlaguerre(p, la, u)
     out = radial * np.exp(1j * mode.ell * phi)
     return out.item() if out.ndim == 0 else out
 
 
 def _log_envelope(r: np.ndarray, ell: int, waist: float) -> np.ndarray:
-    """log |LG_ell(r)| for radial index 0, stable far beyond underflow."""
+    """log |LG_ell(r)|, stable far beyond underflow."""
     la = abs(ell)
     lc = 0.5 * math.log(2.0 / (math.pi * math.factorial(la))) - math.log(waist)
     if la == 0:
@@ -165,15 +144,16 @@ def coeff_field(
     grid: GridSpec,
     *,
     waist: float = 1.0,
-    radial_index: int = 0,
 ) -> CoeffField:
-    """Evaluate a(r) = |LG_ell1|/eta and b(r) = e^{i(dl*phi+delta)}|LG_ell2|/eta.
+    """Evaluate a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
 
     eta(r) = sqrt(|LG_ell1|^2 + |LG_ell2|^2) normalizes the pair pointwise.
     The ratio of the two envelopes is evaluated in log space, so the field
     is accurate arbitrarily far into the Gaussian tail; points where eta
     itself underflows double precision are masked rather than divided
-    through.
+    through.  These are the position overlaps of the two OAM kets (up to a
+    common phase); the state's relative phase delta is not part of them, it
+    enters the texture once, through the density matrix.
 
     Parameters
     ----------
@@ -181,51 +161,35 @@ def coeff_field(
     grid : GridSpec
     waist : float
         Common beam waist of both modes.
-    radial_index : int
-        Radial index of both modes (0 for the standard donut textures).
 
     Returns
     -------
     CoeffField
     """
-    if radial_index == 0:
-        r, phi = grid.polar()
-        l1 = _log_envelope(r, state.ell1, waist)
-        l2 = _log_envelope(r, state.ell2, waist)
-        top = np.maximum(l1, l2)
-        with np.errstate(invalid="ignore", over="ignore"):
-            leta = top + 0.5 * np.log1p(np.exp(-2.0 * np.abs(l1 - l2)))
-            amag = np.exp(l1 - leta)
-            bmag = np.exp(l2 - leta)
-        # the only point where both envelopes are exactly zero is r = 0 with
-        # two nonzero charges; the limit along r is (1,0) or (0,1) by which
-        # charge has the smaller magnitude
-        degenerate = np.isinf(l1) & np.isinf(l2)
-        if np.any(degenerate):
-            if abs(state.ell1) < abs(state.ell2):
-                lim_a, lim_b = 1.0, 0.0
-            elif abs(state.ell1) > abs(state.ell2):
-                lim_a, lim_b = 0.0, 1.0
-            else:
-                lim_a = lim_b = 1.0 / math.sqrt(2.0)  # equal charges: any point on the circle
-            amag = np.where(degenerate, lim_a, amag)
-            bmag = np.where(degenerate, lim_b, bmag)
-        # NaN (eta exactly zero) fails the comparison and is masked too
-        mask = ~(leta >= _LOG_TINY)
-    else:
-        # radial_index > 0 envelopes have nodes; evaluate directly and mask
-        # wherever the joint envelope underflows
-        r, phi = grid.polar()
-        m1 = ModeSpec(state.ell1, waist, radial_index)
-        m2 = ModeSpec(state.ell2, waist, radial_index)
-        e1 = np.abs(lg_amplitude(r, 0.0, m1))
-        e2 = np.abs(lg_amplitude(r, 0.0, m2))
-        eta = np.hypot(e1, e2)
-        mask = eta == 0.0
-        safe = np.where(mask, 1.0, eta)
-        amag = np.where(mask, 0.0, e1 / safe)
-        bmag = np.where(mask, 0.0, e2 / safe)
+    r, phi = grid.polar()
+    l1 = _log_envelope(r, state.ell1, waist)
+    l2 = _log_envelope(r, state.ell2, waist)
+    top = np.maximum(l1, l2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        leta = top + 0.5 * np.log1p(np.exp(-2.0 * np.abs(l1 - l2)))
+        amag = np.exp(l1 - leta)
+        bmag = np.exp(l2 - leta)
+    # the only point where both envelopes are exactly zero is r = 0 with
+    # two nonzero charges; the limit along r is (1,0) or (0,1) by which
+    # charge has the smaller magnitude
+    degenerate = np.isinf(l1) & np.isinf(l2)
+    if np.any(degenerate):
+        if abs(state.ell1) < abs(state.ell2):
+            lim_a, lim_b = 1.0, 0.0
+        elif abs(state.ell1) > abs(state.ell2):
+            lim_a, lim_b = 0.0, 1.0
+        else:
+            lim_a = lim_b = 1.0 / math.sqrt(2.0)  # equal charges: any point on the circle
+        amag = np.where(degenerate, lim_a, amag)
+        bmag = np.where(degenerate, lim_b, bmag)
+    # NaN (eta exactly zero) fails the comparison and is masked too
+    mask = ~(leta >= _LOG_TINY)
 
     a = amag.astype(complex)
-    b = bmag * np.exp(1j * (state.delta_ell * phi + state.delta))
+    b = bmag * np.exp(1j * state.delta_ell * phi)
     return CoeffField(a=a, b=b, mask=mask, grid=grid, state=state, waist=waist)

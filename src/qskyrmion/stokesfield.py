@@ -64,25 +64,28 @@ class UnitVectorField:
         return float(self.mask.mean())
 
 
-def _conditional_blocks(rho, coeffs: CoeffField) -> np.ndarray:
-    """2x2 conditional operators at every grid point, shape (n, n, 2, 2).
+def _conditional_blocks(rho, a, b) -> np.ndarray:
+    """2x2 conditional operators for position overlaps a, b of any shape.
 
     Contracts the full 4x4 matrix with the position overlaps
     (<r|ell1>, <r|ell2>) = (a(r), b(r)); the overall factor matches the
     convention in which the identity's diagonal position element is 2*I_2,
     so channel outputs give p |chi><chi| + (1-p)/2 I_2 with unit trace.
+    The result has shape ``a.shape + (2, 2)``.
     """
     m = _as_matrix(rho).reshape(2, 2, 2, 2)  # [iA, jB, iA', jB']
-    v = np.stack([coeffs.a, coeffs.b])  # (2, n, n)
-    blocks = 2.0 * np.einsum("imn,kmn,ijkl->mnjl", v, v.conj(), m, optimize=True)
-    return blocks
+    v = np.stack([np.ravel(a), np.ravel(b)])  # (2, points)
+    blocks = 2.0 * np.einsum("im,km,ijkl->mjl", v, v.conj(), m, optimize=True)
+    return blocks.reshape(np.shape(a) + (2, 2))
 
 
 def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.ndarray:
     """Conditional 2x2 state of photon B at one grid point.
 
     For an isotropic-channel output at weight p this equals
-    p |chi(r)><chi(r)| + (1-p)/2 * I_2 with |chi(r)> = a(r)|P1> + b(r)|P2>.
+    p |chi(r)><chi(r)| + (1-p)/2 * I_2 with
+    |chi(r)> = a(r)|P1> + e^{i delta} b(r)|P2>: the relative phase delta
+    comes from the density matrix, the vortex phase dl*phi from b(r).
     Built from the full 4x4 matrix, so reconstructed density matrices flow
     through the identical path as analytic ones.
 
@@ -100,9 +103,7 @@ def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.nda
     i, j = point
     if coeffs.mask[i, j]:
         raise ValueError(f"grid point {point} is masked (envelope underflow)")
-    m = _as_matrix(rho).reshape(2, 2, 2, 2)
-    v = np.array([coeffs.a[i, j], coeffs.b[i, j]])
-    return 2.0 * np.einsum("i,k,ijkl->jl", v, v.conj(), m)
+    return _conditional_blocks(rho, coeffs.a[i, j], coeffs.b[i, j])
 
 
 def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> StokesField:
@@ -120,7 +121,7 @@ def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> Stoke
     """
     if grid is not None and grid != coeffs.grid:
         raise ValueError("grid does not match the one the coefficients were computed on")
-    blocks = _conditional_blocks(rho, coeffs)
+    blocks = _conditional_blocks(rho, coeffs.a, coeffs.b)
     s0 = blocks[..., 0, 0].real + blocks[..., 1, 1].real
     s1 = 2.0 * blocks[..., 0, 1].real
     s2 = -2.0 * blocks[..., 0, 1].imag

@@ -172,6 +172,8 @@ def simulate_counts(
     seed : int, optional
         RNG seed for poisson mode.
     """
+    if not all(map(math.isfinite, (pair_rate, noise_rate_a, noise_rate_b, window, duration))):
+        raise ValueError("rates, window and duration must be finite")
     if pair_rate < 0 or noise_rate_a < 0 or noise_rate_b < 0:
         raise ValueError("rates must be non-negative")
     if window <= 0 or duration <= 0:
@@ -261,6 +263,8 @@ _PAULI_LABELS = [(mu, nu) for mu in range(4) for nu in range(4)]
 _PAULI_BASIS = np.array([np.kron(_PAULI[mu], _PAULI[nu]) for mu, nu in _PAULI_LABELS])
 # design matrix: Tr[Pi_k rho] = (1/4) sum_c design[k, c] * r_c
 _DESIGN = np.einsum("kij,cji->kc", _PROJECTORS, _PAULI_BASIS).real / 4.0
+if np.linalg.matrix_rank(_DESIGN) != 16:
+    raise RuntimeError("36-setting design must have full rank")
 
 
 def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True) -> DensityMatrix4:
@@ -272,7 +276,6 @@ def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True
     construction but may carry slightly negative eigenvalues, reported via
     ``min_eigenvalue`` rather than repaired.
     """
-    assert np.linalg.matrix_rank(_DESIGN) == 16, "36-setting design must have full rank"
     counts = record.coincidences - record.accidentals() if subtract_accidentals \
         else record.coincidences.copy()
     total = counts.sum()
@@ -384,7 +387,7 @@ def mle_reconstruct(
     gram = chol @ chol.conj().T
     rho = gram / np.trace(gram).real
     rho = 0.5 * (rho + rho.conj().T)
-    converged = bool(res.success) or res.status == 0
+    converged = bool(res.success)
     if not converged:
         warnings.warn(
             f"MLE did not converge after {res.nit} iterations: {res.message}",
@@ -510,6 +513,12 @@ def record_from_csv(path) -> TomographyRecord:
                 rows.append(line.split(","))
     if len(rows) != 36:
         raise ValueError(f"expected 36 setting rows, found {len(rows)}")
+    malformed = [",".join(r) for r in rows if len(r) != 7]
+    if malformed:
+        raise ValueError(f"setting rows need 7 fields, got {malformed[0]!r}")
+    missing = [key for key in ("window", "duration") if key not in meta]
+    if missing:
+        raise ValueError(f"record has no '# {missing[0]} = ...' line")
     expected = [(s.basis_a, s.eigen_a, s.basis_b, s.eigen_b) for s in _SETTINGS]
     got = [(r[0], int(r[1]), r[2], int(r[3])) for r in rows]
     if got != expected:

@@ -205,6 +205,16 @@ def suggested_grid(
     return GridSpec(half_width, samples)
 
 
+def _window_grid(
+    spec: HybridStateSpec, samples: int, half_width: float | None, *, waist: float = 1.0
+) -> GridSpec:
+    """The tail-safe :func:`suggested_grid` when ``half_width`` is None,
+    else the fixed window of that half-width (absolute length units)."""
+    if half_width is None:
+        return suggested_grid(spec, samples, waist=waist)
+    return GridSpec(half_width, samples)
+
+
 def texture_for_state(
     spec: HybridStateSpec,
     p: float = 1.0,
@@ -254,10 +264,7 @@ def convergence_scan(
         raise ValueError("at least one resolution is required")
     rows = []
     for n in resolutions:
-        if half_width is None:
-            grid = suggested_grid(spec, int(n), waist=waist)
-        else:
-            grid = GridSpec(half_width, int(n))
+        grid = _window_grid(spec, int(n), half_width, waist=waist)
         fld = texture_for_state(spec, p, grid, waist=waist)
         res = skyrmion_number(fld)
         rows.append(ConvergenceRow(resolution=int(n), number=res.number, residual=res.residual))

@@ -1,11 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
-from qskyrmion import HybridStateSpec, contrast_to_purity
+from qskyrmion import (
+    GridSpec,
+    HybridStateSpec,
+    apply_isotropic_noise,
+    contrast_from_p,
+    contrast_to_purity,
+    pure_state,
+    skyrmion_number,
+    suggested_grid,
+    texture_for_state,
+    witness_report,
+)
+from qskyrmion import cli
 from qskyrmion.cli import (
     ConfigError,
     load_config,
     main,
+    run_convergence,
     run_sweep,
     run_topology_gallery,
     write_sweep_csv,
@@ -135,6 +150,24 @@ class TestRunSweep:
         row2 = run_sweep(cfg)[0]
         assert row1.quantum_contrast != row2.quantum_contrast
 
+    def test_unconverged_reconstruction_is_reported(self, tmp_path, monkeypatch):
+        # Poisson seed 85 of the maximally mixed state stops L-BFGS-B after
+        # 0 iterations
+        text = ("ell1=0\nell2=1\nsweep=p\nvalues=0\npipeline=tomographic\n"
+                "samples=32\nseed=85\n")
+        path = write_cfg(tmp_path, text)
+        with pytest.warns(UserWarning, match="did not converge"):
+            rows = run_sweep(load_config(path))
+        assert rows[0].converged is False
+        # this point's residual alone would also give exit code 2; lift that gate
+        monkeypatch.setattr(cli, "RESIDUAL_WARN", math.inf)
+        with pytest.warns(UserWarning, match="did not converge"):
+            assert main(["sweep", "--config", str(path)]) == 2
+
+    def test_analytic_rows_are_converged(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, SWEEP_CFG))
+        assert all(r.converged for r in run_sweep(cfg))
+
 
 class TestGallery:
     def test_six_topologies_equal_pairs(self, tmp_path):
@@ -244,3 +277,98 @@ class TestMain:
         code = main(["skyrmion", "--ell1", "0", "--ell2", "1", "--samples", "24",
                      "--half-width", "3"])
         assert code == 2
+
+
+def fmt_line(values) -> str:
+    return ",".join(format(float(v), ".12g") for v in values)
+
+
+def split_csv(path):
+    """(header lines, column line, data lines) of a written CSV."""
+    lines = path.read_text().splitlines()
+    header = [ln for ln in lines if ln.startswith("#")]
+    return header, lines[len(header)], lines[len(header) + 1:]
+
+
+def grid_lines(grid, values):
+    x = grid.axis()
+    n = grid.samples_per_axis
+    return [fmt_line((x[i], x[j], *np.atleast_1d(values[i, j])))
+            for i in range(n) for j in range(n)]
+
+
+class TestCsvContent:
+    """Every data line equals the .12g formatting of values recomputed
+    through the public pipeline."""
+
+    def test_texture(self, tmp_path):
+        spec = HybridStateSpec(0, -2, 0.4)
+        run_topology_gallery([spec], 0.5, samples=32, out_dir=tmp_path)
+        for tag, p in (("clean", 1.0), ("noisy", 0.5)):
+            field = texture_for_state(spec, p, samples=32)
+            header, columns, data = split_csv(tmp_path / f"texture_0_-2_{tag}.csv")
+            assert header[1] == f"# p = {p:.12g}"
+            assert columns == "x,y,s1,s2,s3"
+            assert data == grid_lines(field.grid, field.vectors)
+
+    def test_density(self, tmp_path, capsys):
+        path = tmp_path / "density.csv"
+        main(["skyrmion", "--ell1", "0", "--ell2", "3", "--delta", "0.4", "--p", "0.6",
+              "--samples", "32", "--half-width", "6", "--density-out", str(path)])
+        grid = GridSpec(6.0, 32)
+        result = skyrmion_number(texture_for_state(HybridStateSpec(0, 3, 0.4), 0.6, grid))
+        header, columns, data = split_csv(path)
+        assert header[2] == f"# skyrmion_number = {result.number:.12g}"
+        assert columns == "x,y,density"
+        assert data == grid_lines(grid, result.density)
+
+    def test_sweep(self, tmp_path, capsys):
+        text = ("ell1=0\nell2=3\ndelta=0.4\nsweep=p\nvalues=1, 0.5, 0.2, 0\n"
+                "pipeline=analytic\nsamples=32\nhalf_width=6\nwaist=1.5\n")
+        cfg = write_cfg(tmp_path, text)
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        spec, grid = HybridStateSpec(0, 3, 0.4), GridSpec(9.0, 32)
+        expected = []
+        for p in (1.0, 0.5, 0.2, 0.0):
+            w = witness_report(apply_isotropic_noise(pure_state(spec), p), spec)
+            res = skyrmion_number(texture_for_state(spec, p, grid, waist=1.5))
+            expected.append(fmt_line((p, contrast_from_p(p), w.purity, w.concurrence,
+                                      w.fidelity, res.number, res.residual,
+                                      res.masked_fraction)))
+        header, columns, data = split_csv(tmp_path / "sweep.csv")
+        assert header[3] == "# grid = 32 x 32, half_width = 9"
+        assert columns.split(",") == ["p", "quantum_contrast", "purity", "concurrence",
+                                      "fidelity", "skyrmion_number", "residual",
+                                      "masked_fraction"]
+        assert data == expected
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[:5] == [columns, *expected]
+
+    def test_gallery_summary(self, tmp_path):
+        specs = [HybridStateSpec(0, 1), HybridStateSpec(2, -5, 0.7)]
+        run_topology_gallery(specs, 0.3, samples=32, out_dir=tmp_path)
+        expected = []
+        for spec in specs:
+            clean = skyrmion_number(texture_for_state(spec, 1.0, samples=32))
+            noisy = skyrmion_number(texture_for_state(spec, 0.3, samples=32))
+            matched = round(clean.number) == round(noisy.number)
+            expected.append(fmt_line((spec.ell1, spec.ell2, spec.delta, clean.number,
+                                      noisy.number, clean.residual, noisy.residual, matched)))
+        header, columns, data = split_csv(tmp_path / "gallery.csv")
+        assert header == ["# p = 0.3"]
+        assert columns == "ell1,ell2,delta,n_clean,n_noisy,residual_clean,residual_noisy,matched"
+        assert data == expected
+        assert data[1].startswith("2,-5,0.7,")
+
+    def test_convergence(self, tmp_path):
+        spec = HybridStateSpec(0, 2, 0.4)
+        path = tmp_path / "conv.csv"
+        run_convergence(spec, [32, 48], p=0.7, out=path)
+        expected = []
+        for n in (32, 48):
+            res = skyrmion_number(texture_for_state(spec, 0.7, suggested_grid(spec, n)))
+            expected.append(fmt_line((n, res.number, res.residual)))
+        header, columns, data = split_csv(path)
+        assert columns == "resolution,skyrmion_number,residual"
+        assert data == expected
+        assert data[0].startswith("32,")

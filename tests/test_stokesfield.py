@@ -113,6 +113,24 @@ class TestStokesField:
         assert fld.noise_weight == pytest.approx(0.45)
 
 
+class TestRelativePhase:
+    def test_texture_carries_delta_once(self):
+        # closed form of the pure (0, 1) texture: with u = ln(|LG_1| / |LG_0|)
+        # = ln(sqrt(2) r) and theta = dl*phi + delta, the unit Stokes vector is
+        # (sech u cos theta, sech u sin theta, -tanh u)
+        spec = HybridStateSpec(0, 1, 0.7)
+        grid = GridSpec(half_width=5.0, samples_per_axis=64)
+        field = normalize_stokes(stokes_field(pure_state(spec), coeff_field(spec, grid)))
+        X, Y = grid.mesh()
+        u = np.log(np.sqrt(2.0) * np.hypot(X, Y))
+        theta = spec.delta_ell * np.arctan2(Y, X) + spec.delta
+        expected = np.stack([np.cos(theta) / np.cosh(u), np.sin(theta) / np.cosh(u),
+                             -np.tanh(u)], axis=-1)
+        live = ~field.mask
+        assert live.any()
+        assert np.max(np.abs(field.vectors[live] - expected[live])) < 1e-9
+
+
 class TestProjectionPair:
     @given(
         i=st.integers(5, 58), j=st.integers(5, 58), axis=st.integers(1, 3),

@@ -113,6 +113,16 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(pure_state(BELL), pair_rate=1e5, duration=0.0)
 
+    @pytest.mark.parametrize("key", ["pair_rate", "noise_rate_a", "noise_rate_b",
+                                     "window", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_inputs(self, key, value):
+        kwargs = dict(pair_rate=1e5, noise_rate_a=1e4, noise_rate_b=1e4,
+                      window=WINDOW, duration=1.0)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match="finite"):
+            simulate_counts(pure_state(BELL), **kwargs)
+
     def test_record_validates_counts(self):
         with pytest.raises(ValueError):
             TomographyRecord(
@@ -384,6 +394,25 @@ class TestRecordSerialization:
         text = path.read_text()
         assert text.startswith("# window =")
         assert "basis_a,eigen_a,basis_b,eigen_b" in text
+
+    def test_short_row_raises_value_error(self, tmp_path):
+        path = tmp_path / "record.csv"
+        record_to_csv(make_record(channel(0.42)), path)
+        lines = path.read_text().splitlines()
+        lines[10] = lines[10].rsplit(",", 1)[0]  # drop singles_b
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="7 fields"):
+            record_from_csv(path)
+
+    @pytest.mark.parametrize("key", ["window", "duration"])
+    def test_missing_metadata_raises_value_error(self, tmp_path, key):
+        path = tmp_path / "record.csv"
+        record_to_csv(make_record(channel(0.42)), path)
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith(f"# {key} =")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=key):
+            record_from_csv(path)
 
     def test_settings_order_enforced(self, tmp_path):
         rec = make_record(channel(0.42))
