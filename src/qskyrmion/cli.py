@@ -10,6 +10,7 @@ residual).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -109,9 +110,12 @@ _KNOWN_KEYS = {
 
 def _parse_scalar(raw: str, line: int, key: str, cast):
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"cannot parse {key} value {raw!r}", line) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+    return value
 
 
 def load_config(path) -> SweepConfig:
@@ -169,6 +173,8 @@ def load_config(path) -> SweepConfig:
             raise ConfigError(f"cannot parse values list {raw!r}", lineno) from None
         if not points:
             raise ConfigError("values list is empty", lineno)
+        if not all(math.isfinite(v) for v in points):
+            raise ConfigError(f"values must be finite, got {raw!r}", lineno)
     elif has_range:
         for k in ("start", "stop", "step"):
             if k not in entries:
@@ -225,8 +231,8 @@ def load_config(path) -> SweepConfig:
     if cfg.samples < 16:
         raise ConfigError("samples must be at least 16")
     for key in ("waist", "pair_rate", "window", "duration"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
+        if getattr(cfg, key) <= 0:  # defaults are positive, so the key was given
+            raise ConfigError(f"{key} must be positive", entries[key][1])
     return cfg
 
 

@@ -13,7 +13,7 @@ is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -81,6 +81,11 @@ class CoeffField:
     ``mask`` is True where the joint envelope eta(r) underflows double
     precision (both envelopes effectively zero); values there are the
     analytic limits of the ratio and must not enter integrals.
+
+    ``features`` holds, for every grid point in C order, the four real
+    quantities every Stokes field is linear in: (|a|^2, |b|^2, Re(a b*),
+    Im(a b*)), shape (n^2, 4).  It is computed once, when the field is built,
+    and its masked rows are zero.
     """
 
     a: np.ndarray
@@ -89,6 +94,13 @@ class CoeffField:
     grid: GridSpec
     state: HybridStateSpec
     waist: float = 1.0
+    features: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ab = self.a * self.b.conj()
+        feats = np.stack([np.abs(self.a) ** 2, np.abs(self.b) ** 2, ab.real, ab.imag], axis=-1)
+        feats[self.mask] = 0.0
+        self.features = feats.reshape(-1, 4)
 
     @property
     def masked_fraction(self) -> float:

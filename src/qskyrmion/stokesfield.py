@@ -5,6 +5,13 @@ leaves a 2x2 operator on photon B's polarization space; its Pauli
 expectation values form the Stokes texture whose topology the rest of the
 package measures.  Convention: P1 is the +1 eigenstate of sigma_3, and
 (S1, S2, S3) follow (sigma_x, sigma_y, sigma_z) in the (P1, P2) basis.
+
+The texture is linear in rho.  With M_ik the 2x2 blocks of rho over photon
+A's OAM kets, the conditional operator is C(r) = 2 sum_c F_c(r) N_c for the
+real grid features F = (|a|^2, |b|^2, Re(a b*), Im(a b*)) of
+:attr:`CoeffField.features` and N = (M_00, M_11, M_01 + M_10, i(M_01 - M_10)).
+So S_mu = sum_c F_c R_c,mu with R_c,mu = 2 Re Tr(sigma_mu N_c): one
+(n^2, 4) x (4, 4) product per state.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ SIGMA = {
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_PAULI = np.stack([np.eye(2, dtype=complex), SIGMA[1], SIGMA[2], SIGMA[3]])  # sigma_0..3
 
 
 @dataclass
@@ -64,19 +72,12 @@ class UnitVectorField:
         return float(self.mask.mean())
 
 
-def _conditional_blocks(rho, a, b) -> np.ndarray:
-    """2x2 conditional operators for position overlaps a, b of any shape.
-
-    Contracts the full 4x4 matrix with the position overlaps
-    (<r|ell1>, <r|ell2>) = (a(r), b(r)); the overall factor matches the
-    convention in which the identity's diagonal position element is 2*I_2,
-    so channel outputs give p |chi><chi| + (1-p)/2 I_2 with unit trace.
-    The result has shape ``a.shape + (2, 2)``.
-    """
-    m = _as_matrix(rho).reshape(2, 2, 2, 2)  # [iA, jB, iA', jB']
-    v = np.stack([np.ravel(a), np.ravel(b)])  # (2, points)
-    blocks = 2.0 * np.einsum("im,km,ijkl->mjl", v, v.conj(), m, optimize=True)
-    return blocks.reshape(np.shape(a) + (2, 2))
+def _stokes_map(rho) -> np.ndarray:
+    """Real (4, 4) map R with S_mu(r) = sum_c F_c(r) R[c, mu] (module docstring)."""
+    m = _as_matrix(rho)
+    m01, m10 = m[:2, 2:], m[2:, :2]
+    blocks = np.stack([m[:2, :2], m[2:, 2:], m01 + m10, 1j * (m01 - m10)])
+    return 2.0 * np.einsum("cjl,mlj->cm", blocks, _PAULI).real
 
 
 def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.ndarray:
@@ -87,7 +88,8 @@ def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.nda
     |chi(r)> = a(r)|P1> + e^{i delta} b(r)|P2>: the relative phase delta
     comes from the density matrix, the vortex phase dl*phi from b(r).
     Built from the full 4x4 matrix, so reconstructed density matrices flow
-    through the identical path as analytic ones.
+    through the identical path as analytic ones; it is (S0 I + S.sigma)/2
+    of the point's Stokes values.
 
     Parameters
     ----------
@@ -103,7 +105,8 @@ def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.nda
     i, j = point
     if coeffs.mask[i, j]:
         raise ValueError(f"grid point {point} is masked (envelope underflow)")
-    return _conditional_blocks(rho, coeffs.a[i, j], coeffs.b[i, j])
+    stokes = coeffs.features.reshape(coeffs.mask.shape + (4,))[i, j] @ _stokes_map(rho)
+    return 0.5 * np.einsum("m,mjl->jl", stokes, _PAULI)
 
 
 def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> StokesField:
@@ -121,18 +124,10 @@ def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> Stoke
     """
     if grid is not None and grid != coeffs.grid:
         raise ValueError("grid does not match the one the coefficients were computed on")
-    blocks = _conditional_blocks(rho, coeffs.a, coeffs.b)
-    s0 = blocks[..., 0, 0].real + blocks[..., 1, 1].real
-    s1 = 2.0 * blocks[..., 0, 1].real
-    s2 = -2.0 * blocks[..., 0, 1].imag
-    s3 = blocks[..., 0, 0].real - blocks[..., 1, 1].real
-    mask = coeffs.mask.copy()
-    s0, s1, s2, s3 = (np.where(mask, 0.0, s) for s in (s0, s1, s2, s3))
+    stokes = (coeffs.features @ _stokes_map(rho)).reshape(coeffs.mask.shape + (4,))
     noise_weight = rho.noise_weight if isinstance(rho, DensityMatrix4) else None
-    return StokesField(
-        s0=s0, s1=s1, s2=s2, s3=s3,
-        mask=mask, grid=coeffs.grid, noise_weight=noise_weight,
-    )
+    return StokesField(*np.moveaxis(stokes, -1, 0), mask=coeffs.mask.copy(),
+                       grid=coeffs.grid, noise_weight=noise_weight)
 
 
 def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
@@ -169,9 +164,10 @@ def normalize_stokes(field: StokesField, eps: float = DEGENERACY_EPS) -> UnitVec
     if not eps > 0:
         raise ValueError("eps must be positive")
     vec = np.stack([field.s1, field.s2, field.s3], axis=-1)
-    norm = np.linalg.norm(vec, axis=-1)
+    norm = field.vector_norm()
     degenerate = (norm < eps) | field.mask
-    safe = np.where(norm == 0.0, 1.0, norm)
-    unit = np.where(degenerate[..., None], 0.0, vec / safe[..., None])
+    norm[degenerate] = 1.0
+    vec /= norm[..., None]
+    vec[degenerate] = 0.0
     collapsed = bool(degenerate.all())
-    return UnitVectorField(vectors=unit, mask=degenerate, grid=field.grid, collapsed=collapsed)
+    return UnitVectorField(vectors=vec, mask=degenerate, grid=field.grid, collapsed=collapsed)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, pure_state, purity
 
@@ -378,6 +377,8 @@ def mle_reconstruct(
     start = (evecs * evals) @ evecs.conj().T
     start /= np.trace(start).real
     t0 = _cholesky_to_params(np.linalg.cholesky(start))
+    from scipy.optimize import minimize  # most of the import time of the package
+
     res = minimize(
         _poisson_nll_grad, t0, args=(counts, background, scale, _PROJECTORS),
         jac=True, method="L-BFGS-B",

@@ -97,6 +97,33 @@ class TestLoadConfig:
             load_config(path)
 
 
+# one config per key whose line carries a non-finite number; unchecked, some
+# of them run to a result and others fail later without a line number
+NONFINITE_CFGS = {
+    "start": "start = nan\nstop = 0\nstep = -0.5\n",
+    "stop": "start = 1\nstop = inf\nstep = -0.5\n",
+    "step": "start = 1\nstop = 0\nstep = nan\n",
+    "values": "values = 1, nan, 0.5\n",
+    "half_width": "values = 1\nhalf_width = -inf\n",
+    "waist": "values = 1\nwaist = nan\n",
+    "pair_rate": "values = 1\npair_rate = nan\n",
+    "window": "values = 1\nwindow = inf\n",
+    "duration": "values = 1\nduration = nan\n",
+}
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("key", sorted(NONFINITE_CFGS))
+    def test_sweep_rejects_non_finite_value(self, tmp_path, capsys, key):
+        text = "ell1 = 0\nell2 = 1\nsamples = 32\n" + NONFINITE_CFGS[key]
+        lineno = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                      if ln.startswith(f"{key} ="))
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"line {lineno}: {key} must be finite" in err
+
+
 class TestRunSweep:
     def test_analytic_sweep_holds_topology_until_collapse(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SWEEP_CFG))

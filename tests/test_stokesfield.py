@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qskyrmion import (
     GridSpec,
@@ -11,9 +12,10 @@ from qskyrmion import (
     normalize_stokes,
     projection_pair,
     pure_state,
+    skyrmion_number,
     stokes_field,
 )
-from qskyrmion.stokesfield import StokesField
+from qskyrmion.stokesfield import SIGMA, StokesField
 
 
 def channel(spec, p):
@@ -232,3 +234,69 @@ class TestNormalizeStokes:
         fld = stokes_field(pure_state(bell_spec), bell_coeffs)
         with pytest.raises(ValueError):
             normalize_stokes(fld, eps=0.0)
+
+
+# rho = G G^dag / Tr(G G^dag) for a random complex 4x4 G: every physical state
+GINIBRE = arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
+CHARGES = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# corners beyond ~27 waists underflow, so every field has masked points
+MASKED_GRID = GridSpec(half_width=30.0, samples_per_axis=24)
+PAULI_0123 = (np.eye(2), SIGMA[1], SIGMA[2], SIGMA[3])
+
+
+def ginibre_state(parts):
+    g = parts[0] + 1j * parts[1]
+    gram = g @ g.conj().T
+    trace = np.trace(gram).real
+    assume(trace > 1e-6)
+    return 0.5 * (gram + gram.conj().T) / trace
+
+
+def oracle_conditional(rho, a, b):
+    """2 <r|rho|r> on photon B by explicit 2x2 block arithmetic."""
+    m00, m01, m10, m11 = rho[:2, :2], rho[:2, 2:], rho[2:, :2], rho[2:, 2:]
+    return 2.0 * (abs(a) ** 2 * m00 + a * np.conj(b) * m01
+                  + np.conj(a) * b * m10 + abs(b) ** 2 * m11)
+
+
+class TestArbitraryDensityMatrix:
+    @given(parts=GINIBRE, charges=CHARGES)
+    @settings(max_examples=40, deadline=None)
+    def test_stokes_field_matches_pointwise_oracle(self, parts, charges):
+        rho = ginibre_state(parts)
+        cf = coeff_field(HybridStateSpec(*charges), MASKED_GRID)
+        fld = stokes_field(rho, cf)
+        got = np.stack([fld.s0, fld.s1, fld.s2, fld.s3], axis=-1)
+        for i, j in np.ndindex(cf.mask.shape):
+            if cf.mask[i, j]:
+                assert not got[i, j].any()
+                continue
+            cond = oracle_conditional(rho, cf.a[i, j], cf.b[i, j])
+            want = [np.trace(s @ cond).real for s in PAULI_0123]
+            np.testing.assert_allclose(got[i, j], want, rtol=0, atol=1e-12)
+
+    @given(parts=GINIBRE, charges=CHARGES, i=st.integers(0, 23), j=st.integers(0, 23))
+    @settings(max_examples=100, deadline=None)
+    def test_conditional_state_is_hermitian_with_trace_s0(self, parts, charges, i, j):
+        rho = ginibre_state(parts)
+        cf = coeff_field(HybridStateSpec(*charges), MASKED_GRID)
+        assume(not cf.mask[i, j])
+        cond = conditional_state(rho, cf, (i, j))
+        np.testing.assert_allclose(cond, cond.conj().T, rtol=0, atol=1e-12)
+        assert np.trace(cond).real == pytest.approx(stokes_field(rho, cf).s0[i, j], abs=1e-12)
+        oracle = oracle_conditional(rho, cf.a[i, j], cf.b[i, j])
+        np.testing.assert_allclose(cond, oracle, rtol=0, atol=1e-12)
+
+    @given(parts=GINIBRE, charges=CHARGES, p=st.floats(1e-2, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_isotropic_mixing_keeps_texture_and_number(self, parts, charges, p):
+        # the identity's conditional has zero Stokes vector, so mixing any
+        # state with it only rescales the vector part
+        rho = ginibre_state(parts)
+        cf = coeff_field(HybridStateSpec(*charges), GridSpec(half_width=6.0, samples_per_axis=48))
+        base = normalize_stokes(stokes_field(rho, cf))
+        mixed = normalize_stokes(stokes_field(p * rho + (1.0 - p) * np.eye(4) / 4.0, cf))
+        live = ~base.mask & ~mixed.mask
+        np.testing.assert_allclose(mixed.vectors[live], base.vectors[live], rtol=0, atol=1e-12)
+        assert skyrmion_number(mixed).number == pytest.approx(
+            skyrmion_number(base).number, abs=1e-12)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qskyrmion
 from qskyrmion import (
     HybridStateSpec,
     TomographyRecord,
@@ -289,6 +294,16 @@ class TestMleReconstruct:
             est = mle_reconstruct(rec, init=init, max_iters=1)
         assert not est.converged
         assert est.rho.min_eigenvalue >= -1e-10
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the package's import time and only
+    # mle_reconstruct needs it, so it loads on the first reconstruction
+    env = dict(os.environ, PYTHONPATH=str(Path(qskyrmion.__file__).parents[1]))
+    code = "import sys, qskyrmion, qskyrmion.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestWitnesses:
