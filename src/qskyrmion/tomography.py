@@ -262,8 +262,6 @@ _PAULI_LABELS = [(mu, nu) for mu in range(4) for nu in range(4)]
 _PAULI_BASIS = np.array([np.kron(_PAULI[mu], _PAULI[nu]) for mu, nu in _PAULI_LABELS])
 # design matrix: Tr[Pi_k rho] = (1/4) sum_c design[k, c] * r_c
 _DESIGN = np.einsum("kij,cji->kc", _PROJECTORS, _PAULI_BASIS).real / 4.0
-if np.linalg.matrix_rank(_DESIGN) != 16:
-    raise RuntimeError("36-setting design must have full rank")
 
 
 def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True) -> DensityMatrix4:

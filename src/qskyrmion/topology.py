@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
 from .lgmodes import GridSpec, coeff_field
@@ -66,21 +67,21 @@ class ConvergenceRow:
     residual: float
 
 
-def _diff(f: np.ndarray, spacing: float, axis: int, order: int = STENCIL_ORDER) -> np.ndarray:
-    """Central differences along ``axis``, narrowing the stencil toward the
+def _diff(f: np.ndarray, spacing: float, order: int = STENCIL_ORDER) -> np.ndarray:
+    """Central differences along axis 0, narrowing the stencil toward the
     edges and finishing with one-sided second-order differences at the
     boundary rows themselves."""
-    f = np.moveaxis(f, axis, 0)
     n = f.shape[0]
-    out = np.zeros_like(f)
     half = order // 2
     if n < 2 * half + 1:
         raise ValueError(f"grid too small for stencil order {order}")
-    weights = _CENTRAL_WEIGHTS[order]
-    acc = np.zeros_like(f[half : n - half])
-    for k, w in enumerate(weights, start=1):
-        acc += w * (f[half + k : n - half + k] - f[half - k : n - half - k])
-    out[half : n - half] = acc / spacing
+    out = np.empty_like(f)
+    weights = np.asarray(_CENTRAL_WEIGHTS[order])
+    stencil = np.concatenate([-weights[::-1], [0.0], weights])
+    np.einsum(
+        "i...k,k->i...", sliding_window_view(f, 2 * half + 1, axis=0),
+        stencil / spacing, out=out[half : n - half],
+    )
     for i in list(range(1, half)) + list(range(n - half, n - 1)):
         reach = min(i, n - 1 - i)
         sub = _CENTRAL_WEIGHTS[2 * min(reach, 4)]
@@ -90,7 +91,7 @@ def _diff(f: np.ndarray, spacing: float, axis: int, order: int = STENCIL_ORDER) 
         out[i] = s / spacing
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * spacing)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * spacing)
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np.ndarray:
@@ -113,14 +114,20 @@ def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np
         raise ValueError("grid does not match the field's grid")
     grid = field.grid
     n = grid.samples_per_axis
-    if field.vectors.shape != (n, n, 3):
+    vectors = field.vectors
+    if vectors.shape != (n, n, 3):
         raise ValueError(
-            f"field shape {field.vectors.shape} does not match grid ({n}, {n}, 3)"
+            f"field shape {vectors.shape} does not match grid ({n}, {n}, 3)"
         )
     h = grid.spacing
-    dsx = _diff(field.vectors, h, axis=0)
-    dsy = _diff(field.vectors, h, axis=1)
-    density = np.einsum("...i,...i->...", field.vectors, np.cross(dsx, dsy))
+    ax, ay, az = np.moveaxis(_diff(vectors, h), -1, 0)
+    # _diff runs along axis 0: y derivatives come from a contiguous transposed copy
+    transposed = np.ascontiguousarray(vectors.transpose(1, 0, 2))
+    bx, by, bz = np.moveaxis(_diff(transposed, h).transpose(1, 0, 2), -1, 0)
+    sx, sy, sz = np.moveaxis(vectors, -1, 0)
+    density = sx * (ay * bz - az * by)
+    density += sy * (az * bx - ax * bz)
+    density += sz * (ax * by - ay * bx)
     mask = field.mask
     bad = mask.copy()
     for shift in range(1, STENCIL_ORDER // 2 + 1):
@@ -128,7 +135,8 @@ def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np
         bad[:-shift, :] |= mask[shift:, :]
         bad[:, shift:] |= mask[:, :-shift]
         bad[:, :-shift] |= mask[:, shift:]
-    return np.where(bad, 0.0, density)
+    density[bad] = 0.0
+    return density
 
 
 def skyrmion_number(field: UnitVectorField, grid: GridSpec | None = None) -> SkyrmionResult:

@@ -239,6 +239,8 @@ class TestNormalizeStokes:
 # rho = G G^dag / Tr(G G^dag) for a random complex 4x4 G: every physical state
 GINIBRE = arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
 CHARGES = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# U = Q of the QR factorization of a random complex 2x2 matrix
+POLARIZATION_UNITARY = arrays(np.float64, (2, 2, 2), elements=st.floats(-1.0, 1.0))
 # corners beyond ~27 waists underflow, so every field has masked points
 MASKED_GRID = GridSpec(half_width=30.0, samples_per_axis=24)
 PAULI_0123 = (np.eye(2), SIGMA[1], SIGMA[2], SIGMA[3])
@@ -250,6 +252,13 @@ def ginibre_state(parts):
     trace = np.trace(gram).real
     assume(trace > 1e-6)
     return 0.5 * (gram + gram.conj().T) / trace
+
+
+def local_unitary(parts):
+    z = parts[0] + 1j * parts[1]
+    assume(abs(np.linalg.det(z)) > 1e-3)
+    q, _ = np.linalg.qr(z)
+    return q
 
 
 def oracle_conditional(rho, a, b):
@@ -300,3 +309,30 @@ class TestArbitraryDensityMatrix:
         np.testing.assert_allclose(mixed.vectors[live], base.vectors[live], rtol=0, atol=1e-12)
         assert skyrmion_number(mixed).number == pytest.approx(
             skyrmion_number(base).number, abs=1e-12)
+
+    @given(parts=GINIBRE, charges=CHARGES, u_parts=POLARIZATION_UNITARY)
+    @settings(max_examples=60, deadline=None)
+    def test_local_polarization_unitary_keeps_number(self, parts, charges, u_parts):
+        # (I x U) rho (I x U)^dag turns every Stokes vector of photon B by
+        # the same proper rotation R, and S . (dS/dx x dS/dy) is invariant
+        rho = ginibre_state(parts)
+        u = local_unitary(u_parts)
+        rot = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
+                         for sj in PAULI_0123[1:]] for si in PAULI_0123[1:]])
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        local = np.kron(np.eye(2), u)
+        cf = coeff_field(HybridStateSpec(*charges), GridSpec(half_width=6.0, samples_per_axis=48))
+        base_raw = stokes_field(rho, cf)
+        turned_raw = stokes_field(local @ rho @ local.conj().T, cf)
+        # the rotation is exact on the raw Stokes vectors; normalizing divides
+        # their rounding by |S|, which can sit just above the degeneracy cut
+        np.testing.assert_allclose(
+            np.stack([turned_raw.s1, turned_raw.s2, turned_raw.s3], axis=-1),
+            np.stack([base_raw.s1, base_raw.s2, base_raw.s3], axis=-1) @ rot.T,
+            rtol=0, atol=1e-12)
+        base = normalize_stokes(base_raw)
+        turned = normalize_stokes(turned_raw)
+        # the degeneracy cut is absolute, so rounding may move a point across it
+        assume((turned.mask == base.mask).all())
+        assert skyrmion_number(turned).number == pytest.approx(
+            skyrmion_number(base).number, abs=1e-10)

@@ -29,6 +29,7 @@ from qskyrmion import (
     witness_report,
 )
 from qskyrmion.tomography import (
+    _DESIGN,
     _cholesky_to_params,
     _params_to_cholesky,
     _poisson_nll_grad,
@@ -187,6 +188,11 @@ class TestAverageQuantumContrast:
 
 
 class TestLinearInversion:
+    def test_design_has_full_rank(self):
+        # the 36 settings determine all 16 Pauli coefficients of rho
+        assert _DESIGN.shape == (36, 16)
+        assert np.linalg.matrix_rank(_DESIGN) == 16
+
     def test_roundtrip_on_deterministic_counts(self):
         rho = channel(0.55)
         rec = make_record(rho, noise=2e4)

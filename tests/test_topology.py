@@ -14,6 +14,7 @@ from qskyrmion import (
     texture_for_state,
 )
 from qskyrmion.stokesfield import UnitVectorField
+from qskyrmion.topology import _CENTRAL_WEIGHTS, STENCIL_ORDER
 
 
 def constant_field(grid, direction=(0.0, 0.0, 1.0)):
@@ -94,6 +95,97 @@ class TestSkyrmionDensity:
         other = GridSpec(half_width=3.0, samples_per_axis=96)
         with pytest.raises(ValueError):
             skyrmion_density(constant_field(grid), grid=other)
+
+
+def difference_matrix(n, spacing):
+    """Explicit (n, n) first-derivative matrix, built row by row: the full
+    central stencil where it fits, the widest central stencil that fits
+    near the edges, one-sided second-order rows at the two ends."""
+    half = STENCIL_ORDER // 2
+    d = np.zeros((n, n))
+    d[0, :3] = (-1.5, 2.0, -0.5)
+    d[-1, -3:] = (0.5, -2.0, 1.5)
+    for i in range(1, n - 1):
+        reach = min(i, n - 1 - i, half)
+        for k, w in enumerate(_CENTRAL_WEIGHTS[2 * reach], start=1):
+            d[i, i + k] += w
+            d[i, i - k] -= w
+    return d / spacing
+
+
+def stencil_footprint(mask):
+    """Points within STENCIL_ORDER // 2 of a masked point along x or y."""
+    half = STENCIL_ORDER // 2
+    bad = np.zeros_like(mask)
+    for i, j in np.argwhere(mask):
+        bad[max(i - half, 0) : i + half + 1, j] = True
+        bad[i, max(j - half, 0) : j + half + 1] = True
+    return bad
+
+
+def oracle_density(vectors, mask, spacing):
+    d = difference_matrix(vectors.shape[0], spacing)
+    dx = np.einsum("ij,jkc->ikc", d, vectors)
+    dy = np.einsum("kj,ijc->ikc", d, vectors)
+    dens = np.einsum("ijc,ijc->ij", vectors, np.cross(dx, dy))
+    dens[stencil_footprint(mask)] = 0.0
+    return dens
+
+
+def random_unit_field(rng, n, masked_share=0.0):
+    vec = rng.normal(size=(n, n, 3))
+    vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
+    mask = rng.random((n, n)) < masked_share
+    vec[mask] = 0.0
+    return vec, mask
+
+
+class TestDensityKernel:
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_reference_rows_are_exact_on_polynomials(self, n):
+        # checks the weight table itself: each row differentiates every
+        # polynomial up to its order exactly
+        x = np.linspace(-1.0, 1.0, n)
+        d = difference_matrix(n, x[1] - x[0])
+        half = STENCIL_ORDER // 2
+        for i in range(n):
+            order = 2 if i in (0, n - 1) else 2 * min(i, n - 1 - i, half)
+            for k in range(1, order + 1):
+                assert d[i] @ x**k == pytest.approx(k * x[i] ** (k - 1), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_matches_difference_matrix_oracle(self, rng, n, layout):
+        vec, mask = random_unit_field(rng, n, masked_share=0.01)
+        assert mask.any()
+        if layout == "transposed":
+            vec = np.ascontiguousarray(vec.transpose(1, 0, 2)).transpose(1, 0, 2)
+        elif layout == "strided":
+            big = np.zeros((2 * n, 2 * n, 5))
+            big[::2, 1::2, 1:4] = vec
+            vec = big[::2, 1::2, 1:4]
+        assert vec.flags.c_contiguous == (layout == "contiguous")
+        grid = GridSpec(half_width=3.0, samples_per_axis=n)
+        fld = UnitVectorField(vectors=vec, mask=mask, grid=grid)
+        got = skyrmion_density(fld)
+        want = oracle_density(vec, mask, grid.spacing)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert not got[stencil_footprint(mask)].any()
+
+    @pytest.mark.parametrize("point,count", [
+        ((16, 16), 17), ((0, 0), 9), ((2, 31), 11), ((31, 5), 13), ((5, 3), 16),
+    ])
+    def test_one_masked_point_zeroes_its_plus_footprint(self, rng, point, count):
+        n = 32
+        vec, _ = random_unit_field(rng, n)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[point] = True
+        vec[point] = 0.0
+        grid = GridSpec(half_width=3.0, samples_per_axis=n)
+        dens = skyrmion_density(UnitVectorField(vectors=vec, mask=mask, grid=grid))
+        expected = stencil_footprint(mask)
+        assert expected.sum() == count
+        np.testing.assert_array_equal(dens == 0.0, expected)
 
 
 class TestSkyrmionNumber:
