@@ -575,7 +575,8 @@ def _cmd_tomo(args) -> int:
     estimate = mle_reconstruct(record)
     print(f"average quantum contrast = {average_quantum_contrast(record):.4f}")
     _print_state(estimate.rho, state)
-    print(f"mle: iterations={estimate.iterations} converged={estimate.converged}")
+    print(f"mle: iterations={estimate.iterations} converged={estimate.converged} "
+          f"gap={estimate.gap:.3g}")
     if args.out:
         record_to_csv(record, args.out)
         print(f"record written to {args.out}")

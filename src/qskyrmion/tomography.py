@@ -115,13 +115,15 @@ class TomographyRecord:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (36,):
                 raise ValueError(f"{name} must have 36 entries")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be non-negative")
             setattr(self, name, arr)
-        if not self.window > 0:
-            raise ValueError("coincidence window must be positive")
-        if not self.duration > 0:
-            raise ValueError("integration duration must be positive")
+        if not 0 < self.window < math.inf:
+            raise ValueError("coincidence window must be positive and finite")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("integration duration must be positive and finite")
 
     def accidentals(self) -> np.ndarray:
         """Per-setting accidental estimate T * A * B."""
@@ -262,6 +264,10 @@ _PAULI_LABELS = [(mu, nu) for mu in range(4) for nu in range(4)]
 _PAULI_BASIS = np.array([np.kron(_PAULI[mu], _PAULI[nu]) for mu, nu in _PAULI_LABELS])
 # design matrix: Tr[Pi_k rho] = (1/4) sum_c design[k, c] * r_c
 _DESIGN = np.einsum("kij,cji->kc", _PROJECTORS, _PAULI_BASIS).real / 4.0
+# The columns of the design are orthogonal: D^T D is diagonal, 3/4 for the
+# single-photon Paulis and 1/4 for the correlators, so the least-squares
+# coefficients are one projection per column.
+_DESIGN_NORMS = np.einsum("kc,kc->c", _DESIGN[:, 1:], _DESIGN[:, 1:])
 
 
 def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True) -> DensityMatrix4:
@@ -279,7 +285,7 @@ def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True
     if total <= 0:
         raise ValueError("record carries no net signal counts")
     freqs = 9.0 * counts / total
-    coeffs, *_ = np.linalg.lstsq(_DESIGN[:, 1:], freqs - _DESIGN[:, 0], rcond=None)
+    coeffs = (freqs - _DESIGN[:, 0]) @ _DESIGN[:, 1:] / _DESIGN_NORMS
     r = np.concatenate([[1.0], coeffs])
     rho = np.einsum("c,cij->ij", r, _PAULI_BASIS) / 4.0
     rho = 0.5 * (rho + rho.conj().T)
@@ -305,60 +311,190 @@ def _cholesky_to_params(ch: np.ndarray) -> np.ndarray:
     return np.array(t)
 
 
+def _expected_counts(rho, background, scale, projectors=_PROJECTORS):
+    """mu_k = scale Tr(Pi_k rho) + background_k for every setting."""
+    return scale * (projectors.reshape(len(projectors), 16) @ rho.T.ravel()).real + background
+
+
+def _nll_grad(rho, counts, background, scale, projectors=_PROJECTORS):
+    """Centered Poisson negative log-likelihood of ``rho`` and its gradient.
+
+    Each setting adds mu - c - c log(mu / c), with mu = scale Tr(Pi rho) +
+    background, which is 0 at mu = c: near the optimum the sum is of the
+    order of the number of settings, not the ~1e7 of sum(mu - c log mu), so
+    the backtracking tests compare it at full precision.  The gradient is
+    G = sum_k scale (1 - c_k / mu_k) Pi_k.  The value is infinite, with no
+    gradient, where a setting with counts has mu <= 0.
+    """
+    mu = _expected_counts(rho, background, scale, projectors)
+    seen = counts > 0
+    if np.any(mu[seen] <= 0):
+        return math.inf, None
+    excess = np.divide(mu - counts, counts, out=np.zeros_like(mu), where=seen)
+    # c (x - log1p(x)) with x = mu/c - 1 keeps the precision lost to
+    # cancellation in mu - c - c log(mu/c) when mu and c are ~1e6
+    nll = float(np.sum(np.where(seen, counts * (excess - np.log1p(excess)), mu)))
+    weights = scale * np.where(seen, excess / (1.0 + excess), 1.0)
+    gmat = (weights @ projectors.reshape(len(projectors), 16)).reshape(4, 4)
+    return nll, gmat
+
+
 def _poisson_nll_grad(t, counts, background, scale, projectors):
-    """Negative Poisson log-likelihood and its gradient in the Cholesky
-    parametrization rho = L L^dag / Tr(L L^dag)."""
+    """Centered negative Poisson log-likelihood and its gradient in the
+    Cholesky parametrization rho = L L^dag / Tr(L L^dag).
+
+    By the chain rule the gradient is (2/tau)(G - Tr(G rho) I) L, with G the
+    gradient in rho of :func:`_nll_grad` and tau = Tr(L L^dag).
+    """
     chol = _params_to_cholesky(t)
     gram = chol @ chol.conj().T
     tau = np.trace(gram).real
     rho = gram / tau
-    mu = scale * np.einsum("kij,ji->k", projectors, rho).real + background
-    mu = np.maximum(mu, 1e-300)
-    nll = float(np.sum(mu - counts * np.log(mu)))
-    weights = scale * (1.0 - counts / mu)
-    gmat = np.einsum("k,kij->ij", weights, projectors)
+    nll, gmat = _nll_grad(rho, counts, background, scale, projectors)
     hmat = (gmat - np.trace(gmat @ rho).real * np.eye(4)) / tau
-    wmat = hmat @ chol
-    grad = list(2.0 * np.real(np.diag(wmat)))
-    for row in range(4):
-        for col in range(row):
-            grad += [2.0 * wmat[row, col].real, 2.0 * wmat[row, col].imag]
-    return nll, np.array(grad)
+    return nll, _cholesky_to_params(2.0 * hmat @ chol)
+
+
+def _project(mat):
+    """Nearest density matrix to a Hermitian ``mat`` in Frobenius norm.
+
+    Its eigenvalues are projected onto the probability simplex; returns the
+    matrix with its eigenvalues (ascending, exact zeros off the support)
+    and eigenvectors.
+    """
+    evals, evecs = np.linalg.eigh(mat)
+    desc = evals[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, 5)
+    shift = shifts[np.count_nonzero(desc > shifts) - 1]
+    evals = np.maximum(evals - shift, 0.0)
+    return (evecs * evals) @ evecs.conj().T, evals, evecs
+
+
+def _factor_coordinates(rank):
+    """Real coordinates of a lower-trapezoidal (4, rank) factor with a real
+    diagonal: row, column and unit (1 or 1j) of each."""
+    rows, cols = np.tril_indices(4, 0, rank)
+    off = rows != cols
+    return (np.concatenate([rows, rows[off]]), np.concatenate([cols, cols[off]]),
+            np.concatenate([np.ones(len(rows)), np.full(np.count_nonzero(off), 1j)]))
+
+
+_FACTOR_COORDINATES = {rank: _factor_coordinates(rank) for rank in range(1, 5)}
+# halvings of a Newton step; doublings of the FISTA curvature estimate
+_NEWTON_BACKTRACKS = 12
+_FISTA_BACKTRACKS = 60
+
+
+def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
+    """Newton step over the density matrices of the rank of ``rho``.
+
+    Projected gradient alone converges slowly where the optimum is rank
+    deficient and eigenvectors of small weight still have to turn.  In the
+    eigenbasis of rho, nearby states of its rank r are A A^dag / |A|^2 with
+    A lower trapezoidal (4, r) and real diagonal, and rho itself is
+    A0 = diag(sqrt(evals)).  The model is the Hessian of the likelihood
+    through the first-order change of rho, plus Tr((G - nu I) dA dA^dag)
+    from its second-order change (nu = Tr(G rho), the multiplier of the unit
+    trace), solved with the trace held fixed to first order.  Returns the
+    new (rho, nll, G) after an Armijo backtrack along the step, or None if
+    the step does not descend.
+    """
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    rank = int(np.count_nonzero(evals > 0))
+    rows, cols, units = _FACTOR_COORDINATES[rank]
+    proj = evecs.conj().T @ _PROJECTORS @ evecs
+    grot = evecs.conj().T @ gmat @ evecs
+    nu = float(evals @ grot.diagonal().real)
+    weight = 2.0 * np.sqrt(evals[cols])
+    # d rho / d theta_j = sqrt(evals_col) (u e_{row,col} + conj(u) e_{col,row})
+    jac = scale * weight * (units * proj[:, cols, rows]).real
+    grad = weight * (units * grot[cols, rows]).real
+    trace = np.where(rows == cols, weight, 0.0)
+    mu = _expected_counts(rho, background, scale)
+    poisson = np.divide(counts, mu**2, out=np.zeros_like(mu), where=counts > 0)
+    # Tr((G - nu I) dA dA^dag) couples the coordinates of one column of A
+    shifted = (grot - nu * np.eye(4))[rows[None, :], rows[:, None]]
+    second = 2.0 * (units[:, None] * units.conj() * shifted).real * (cols[:, None] == cols)
+    hess = jac.T @ (poisson[:, None] * jac) + second
+    size = len(rows)
+    kkt = np.zeros((size + 1, size + 1))
+    kkt[:size, :size] = hess
+    kkt[:size, size] = kkt[size, :size] = trace
+    try:
+        theta = np.linalg.solve(kkt, np.append(-grad, 0.0))[:size]
+    except np.linalg.LinAlgError:
+        return None
+    slope = float(grad @ theta)
+    if not slope < 0:
+        return None
+    factor = evecs[:, :rank] * np.sqrt(evals[:rank])
+    step_dir = np.zeros((4, rank), dtype=complex)
+    np.add.at(step_dir, (rows, cols), theta * units)
+    step_dir = evecs @ step_dir
+    step = 1.0
+    for _ in range(_NEWTON_BACKTRACKS):
+        trial = factor + step * step_dir
+        new = trial @ trial.conj().T
+        new /= np.trace(new).real
+        new_nll, new_gmat = _nll_grad(new, counts, background, scale)
+        if new_nll <= nll + 1e-4 * step * slope:
+            return new, new_nll, new_gmat
+        step *= 0.5
+    return None
+
+
+def _kkt_gap(rho, gmat) -> float:
+    """Tr(G rho) - lambda_min(G): zero exactly at the constrained optimum,
+    and by convexity an upper bound on the NLL above its minimum."""
+    return float(np.trace(gmat @ rho).real - np.linalg.eigvalsh(gmat)[0])
 
 
 @dataclass
 class MleResult:
-    """Physical state estimate with optimizer diagnostics."""
+    """Physical state estimate with optimizer diagnostics.
+
+    ``gap`` is the KKT gap Tr(G rho) - lambda_min(G) of the estimate, in
+    units of the log-likelihood; ``converged`` is whether it reached the
+    requested tolerance.
+    """
 
     rho: DensityMatrix4
     log_likelihood: float
     iterations: int
     converged: bool
+    gap: float
 
 
 def mle_reconstruct(
     record: TomographyRecord,
     init: DensityMatrix4 | None = None,
     max_iters: int = 1000,
-    tol: float = 1e-14,
+    tol: float = 1e-9,
 ) -> MleResult:
-    """Maximum-likelihood state estimate over the physical cone.
+    """Maximum-likelihood state estimate over the density matrices.
 
     Maximizes the Poisson log-likelihood of the coincidence counts with the
-    per-setting accidental estimate as a known background, over
-    rho = L L^dag / Tr(L L^dag) with L lower triangular (16 real
-    parameters), by L-BFGS with the analytic gradient.  The signal scale is
-    estimated from the record totals.  Non-convergence returns the best
-    iterate with ``converged`` False and a warning.
+    per-setting accidental estimate as a known background.  The signal
+    scale is estimated from the record totals.  Each iteration takes one
+    FISTA step (accelerated projected gradient with backtracking and
+    function-value restart; the projection is an eigendecomposition whose
+    eigenvalues are projected onto the simplex), then one Newton step at
+    the rank of the iterate.  The loop stops once the KKT gap
+    Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k the
+    gradient, is at most ``tol`` times the total coincidence count; the gap
+    bounds how far the likelihood is from its maximum.  Non-convergence
+    returns the last iterate with ``converged`` False and a warning.
 
     Parameters
     ----------
     record : TomographyRecord
     init : DensityMatrix4, optional
-        Starting point; defaults to the eigenvalue-clipped linear inversion.
+        Starting point, projected onto the density matrices; defaults to
+        the linear inversion.
     max_iters : int
     tol : float
-        Relative objective tolerance passed to the optimizer.
+        KKT gap tolerance, relative to the total coincidence count.
     """
     background = record.accidentals()
     counts = record.coincidences
@@ -370,32 +506,62 @@ def mle_reconstruct(
             init = linear_inversion(record)
         except ValueError:
             init = DensityMatrix4(np.eye(4) / 4.0, require_physical=False)
-    evals, evecs = np.linalg.eigh(init.matrix)
-    evals = np.clip(evals, 1e-8, None)
-    start = (evecs * evals) @ evecs.conj().T
-    start /= np.trace(start).real
-    t0 = _cholesky_to_params(np.linalg.cholesky(start))
-    from scipy.optimize import minimize  # most of the import time of the package
-
-    res = minimize(
-        _poisson_nll_grad, t0, args=(counts, background, scale, _PROJECTORS),
-        jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": tol, "gtol": 1e-12},
-    )
-    chol = _params_to_cholesky(res.x)
-    gram = chol @ chol.conj().T
-    rho = gram / np.trace(gram).real
-    rho = 0.5 * (rho + rho.conj().T)
-    converged = bool(res.success)
+    args = (counts, background, scale)
+    rho = _project(init.matrix)[0]
+    nll, gmat = _nll_grad(rho, *args)
+    if gmat is None:  # a setting with counts has no expected counts: mix in I/4
+        rho = 0.99 * rho + 0.0025 * np.eye(4)
+        nll, gmat = _nll_grad(rho, *args)
+    tol_abs = tol * counts.sum()
+    lipschitz = scale
+    ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
+    gap = _kkt_gap(rho, gmat)
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        for _ in range(_FISTA_BACKTRACKS):
+            new, new_evals, new_evecs = _project(ahead - gmat_ahead / lipschitz)
+            new_nll, new_gmat = _nll_grad(new, *args)
+            diff = new - ahead
+            if new_nll <= (nll_ahead + np.vdot(gmat_ahead, diff).real
+                           + 0.5 * lipschitz * np.vdot(diff, diff).real):
+                break
+            lipschitz *= 2.0
+        if not new_nll <= nll:
+            if ahead is rho:  # no descent even without momentum
+                break
+            ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
+        beta = (momentum - 1.0) / next_momentum
+        previous = rho
+        rho, evals, evecs, nll, gmat = new, new_evals, new_evecs, new_nll, new_gmat
+        momentum = next_momentum
+        newton = _newton_step(rho, evals, evecs, gmat, nll, *args)
+        if newton is not None:
+            rho, nll, gmat = newton
+            beta, momentum = 0.0, 1.0
+        gap = _kkt_gap(rho, gmat)
+        if gap <= tol_abs:
+            break
+        ahead, nll_ahead, gmat_ahead = rho, nll, gmat
+        if beta > 0:
+            extrapolated = rho + beta * (rho - previous)
+            nll_x, gmat_x = _nll_grad(extrapolated, *args)
+            if gmat_x is not None:
+                ahead, nll_ahead, gmat_ahead = extrapolated, nll_x, gmat_x
+    converged = bool(gap <= tol_abs)
     if not converged:
         warnings.warn(
-            f"MLE did not converge after {res.nit} iterations: {res.message}",
-            stacklevel=2)
+            f"MLE did not converge after {iterations} iterations: KKT gap {gap:.3g} "
+            f"above {tol_abs:.3g}", stacklevel=2)
+    mu = np.maximum(_expected_counts(rho, background, scale), 1e-300)
     return MleResult(
-        rho=DensityMatrix4(rho, noise_weight=None),
-        log_likelihood=-float(res.fun),
-        iterations=int(res.nit),
+        rho=DensityMatrix4(0.5 * (rho + rho.conj().T), noise_weight=None),
+        log_likelihood=float(np.sum(counts * np.log(mu) - mu)),
+        iterations=iterations,
         converged=converged,
+        gap=gap,
     )
 
 

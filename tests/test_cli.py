@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -178,9 +179,11 @@ class TestRunSweep:
         assert row1.quantum_contrast != row2.quantum_contrast
 
     def test_unconverged_reconstruction_is_reported(self, tmp_path, monkeypatch):
-        # Poisson seed 85 of the maximally mixed state stops L-BFGS-B after
-        # 0 iterations
-        text = ("ell1=0\nell2=1\nsweep=p\nvalues=0\npipeline=tomographic\n"
+        # one iteration from the linear inversion leaves the KKT gap of this
+        # pure-state record far above its tolerance
+        monkeypatch.setattr(cli, "mle_reconstruct",
+                            functools.partial(cli.mle_reconstruct, max_iters=1))
+        text = ("ell1=0\nell2=1\nsweep=p\nvalues=1\npipeline=tomographic\n"
                 "samples=32\nseed=85\n")
         path = write_cfg(tmp_path, text)
         with pytest.warns(UserWarning, match="did not converge"):
@@ -289,6 +292,17 @@ class TestMain:
         assert "average quantum contrast" in out
         assert "purity      = 0.617500" in out  # gamma(0.7)
         assert rec.exists()
+
+    def test_tomo_prints_kkt_gap(self, capsys):
+        code = main(["tomo", "--ell1", "0", "--ell2", "1", "--p", "1", "--seed", "4"])
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("mle:"))
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert code == 0
+        assert sorted(fields) == ["converged", "gap", "iterations"]
+        assert fields["converged"] == "True"
+        assert int(fields["iterations"]) > 0
+        assert 0 <= float(fields["gap"]) < 1e-2
 
     def test_converge_command(self, tmp_path, capsys):
         out_csv = tmp_path / "conv.csv"

@@ -14,6 +14,7 @@ from qskyrmion import (
     apply_isotropic_noise,
     average_quantum_contrast,
     concurrence,
+    contrast_from_p,
     contrast_to_p,
     contrast_to_purity,
     fidelity,
@@ -136,6 +137,24 @@ class TestSimulateCounts:
                 window=WINDOW, duration=1.0, pair_rate=1e5,
                 noise_rate_a=0.0, noise_rate_b=0.0)
 
+    @pytest.mark.parametrize("name", ["coincidences", "singles_a", "singles_b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_record_rejects_non_finite_counts(self, name, value):
+        arrays = {key: np.ones(36) for key in ("coincidences", "singles_a", "singles_b")}
+        arrays[name][4] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TomographyRecord(**arrays, window=WINDOW, duration=1.0, pair_rate=1e5,
+                             noise_rate_a=0.0, noise_rate_b=0.0)
+
+    @pytest.mark.parametrize("key", ["window", "duration"])
+    def test_record_rejects_infinite_window_and_duration(self, key):
+        kwargs = dict(window=WINDOW, duration=1.0)
+        kwargs[key] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            TomographyRecord(coincidences=np.ones(36), singles_a=np.ones(36),
+                             singles_b=np.ones(36), pair_rate=1e5, noise_rate_a=0.0,
+                             noise_rate_b=0.0, **kwargs)
+
 
 class TestAverageQuantumContrast:
     def test_pure_accidentals_give_unit_contrast(self):
@@ -192,6 +211,24 @@ class TestLinearInversion:
         # the 36 settings determine all 16 Pauli coefficients of rho
         assert _DESIGN.shape == (36, 16)
         assert np.linalg.matrix_rank(_DESIGN) == 16
+
+    def test_design_columns_are_orthogonal(self):
+        gram = _DESIGN[:, 1:].T @ _DESIGN[:, 1:]
+        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), rtol=0, atol=1e-15)
+        assert set(np.round(np.diag(gram), 12)) == {0.25, 0.75}
+
+    def test_matches_least_squares_solve(self):
+        # the reference is the least-squares solve over all 15 coefficients
+        for p, seed in [(1.0, 0), (0.6, 1), (0.2, 2), (0.0, 3), (0.9, 4)]:
+            rec = make_record(channel(p, HybridStateSpec(0, 2, 0.4)), pair_rate=3e3,
+                              noise=500.0, mode="poisson", seed=seed)
+            counts = rec.coincidences - rec.accidentals()
+            freqs = 9.0 * counts / counts.sum()
+            coeffs, *_ = np.linalg.lstsq(_DESIGN[:, 1:], freqs - _DESIGN[:, 0], rcond=None)
+            r = np.concatenate([[1.0], coeffs])
+            expected = np.einsum("c,cij->ij", r, qskyrmion.tomography._PAULI_BASIS) / 4.0
+            np.testing.assert_allclose(linear_inversion(rec).matrix, expected,
+                                       rtol=0, atol=1e-14)
 
     def test_roundtrip_on_deterministic_counts(self):
         rho = channel(0.55)
@@ -290,6 +327,81 @@ class TestMleReconstruct:
         chol = _params_to_cholesky(t)
         np.testing.assert_allclose(_cholesky_to_params(chol), t, atol=1e-15)
 
+    @pytest.mark.parametrize("seed", [17, 85, 650, 829, 981])
+    def test_maximally_mixed_records_converge(self, seed):
+        # ~2e7 counts make the log-likelihood ~2.6e9, below whose double
+        # resolution a stop rule on the change in f would fall; the KKT gap
+        # is not affected by that scale
+        noise = noise_rate_for_contrast(1.005, pair_rate=1e5, window=WINDOW)
+        rec = make_record(channel(0.0), noise=noise, mode="poisson", seed=seed)
+        est = mle_reconstruct(rec)
+        assert est.converged
+        assert est.iterations > 0
+        assert est.gap <= 1e-9 * rec.coincidences.sum()
+
+    def test_converges_at_rank_deficient_optima(self):
+        # noiseless pure-state records put the optimum on the boundary of the
+        # density matrices, where eigenvectors of small weight turn slowly
+        # under projected gradient
+        records = [make_record(pure_state(HybridStateSpec(2, -5, 0.05)), mode="poisson",
+                               seed=seed) for seed in range(20)]
+        records.append(make_record(pure_state(BELL)))
+        for rec in records:
+            est = mle_reconstruct(rec)
+            assert est.converged
+            assert est.gap <= 1e-9 * rec.coincidences.sum()
+            assert est.iterations < 50
+
+    def test_gap_bounds_the_likelihood_below_its_maximum(self, rng):
+        rec = make_record(channel(0.35), noise=4e4, mode="poisson", seed=3)
+        from qskyrmion import DensityMatrix4
+        init = DensityMatrix4(np.diag([0.97, 0.01, 0.01, 0.01]).astype(complex),
+                              require_physical=False)
+        with pytest.warns(UserWarning, match="did not converge"):
+            starved = mle_reconstruct(rec, init=init, max_iters=1)
+        best = mle_reconstruct(rec)
+        assert starved.log_likelihood <= best.log_likelihood
+        assert best.log_likelihood <= starved.log_likelihood + starved.gap
+        bg = rec.accidentals()
+        scale = (rec.coincidences - bg).sum() / 9.0
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            sigma = g @ g.conj().T
+            sigma = 0.99 * best.rho.matrix + 0.01 * sigma / np.trace(sigma).real
+            mu = scale * np.einsum("kij,ji->k", _PROJECTORS, sigma).real + bg
+            loglik = float(np.sum(rec.coincidences * np.log(mu) - mu))
+            assert loglik <= best.log_likelihood + best.gap + 1e-6
+
+    def test_likelihood_at_least_that_of_lbfgs(self):
+        # reference: scipy's L-BFGS-B over the Cholesky factor, from the
+        # eigenvalue-clipped linear inversion, with tight stopping rules
+        from scipy.optimize import minimize
+
+        spec = HybridStateSpec(0, -2, 1.1)
+        ceiling = 1.0 + 1.0 / (WINDOW * 1e5)
+        for p in (1.0, 0.7, 0.2, 0.05, 0.0):
+            target = min(max(contrast_from_p(p), 1.005), ceiling)
+            noise = noise_rate_for_contrast(target, pair_rate=1e5, window=WINDOW)
+            for seed in (1, 2):
+                rec = make_record(channel(p, spec), noise=noise, mode="poisson", seed=seed)
+                bg = rec.accidentals()
+                scale = (rec.coincidences - bg).sum() / 9.0
+                evals, evecs = np.linalg.eigh(linear_inversion(rec).matrix)
+                start = (evecs * np.clip(evals, 1e-8, None)) @ evecs.conj().T
+                start /= np.trace(start).real
+                res = minimize(_poisson_nll_grad,
+                               _cholesky_to_params(np.linalg.cholesky(start)),
+                               args=(rec.coincidences, bg, scale, _PROJECTORS), jac=True,
+                               method="L-BFGS-B",
+                               options={"maxiter": 5000, "ftol": 1e-15, "gtol": 1e-10})
+                chol = _params_to_cholesky(res.x)
+                ref = chol @ chol.conj().T / np.trace(chol @ chol.conj().T).real
+                mu = scale * np.einsum("kij,ji->k", _PROJECTORS, ref).real + bg
+                ref_loglik = float(np.sum(rec.coincidences * np.log(mu) - mu))
+                est = mle_reconstruct(rec)
+                assert est.converged
+                assert est.log_likelihood >= ref_loglik - 1e-9 * abs(ref_loglik), (p, seed)
+
     def test_iteration_starved_run_warns_and_flags(self):
         rec = make_record(channel(0.35), noise=4e4, mode="poisson", seed=3)
         # a deliberately bad start needs more than one iteration
@@ -310,6 +422,23 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_tomographic_runs_load_no_scipy(tmp_path):
+    # reconstruction needs numpy alone: neither a tomographic sweep nor the
+    # tomo command loads any scipy module
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ell1=0\nell2=1\nsweep=p\nvalues=1, 0.5, 0\npipeline=tomographic\n"
+                   "samples=32\nseed=4\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qskyrmion.__file__).parents[1]))
+    code = ("import sys; from qskyrmion import cli; "
+            f"cli.run_sweep(cli.load_config({str(cfg)!r})); "
+            "cli.main(['tomo', '--ell1', '0', '--ell2', '2', '--p', '0.6']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert "mle: iterations=" in out.stdout
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestWitnesses:
@@ -423,6 +552,18 @@ class TestRecordSerialization:
         lines[10] = lines[10].rsplit(",", 1)[0]  # drop singles_b
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="7 fields"):
+            record_from_csv(path)
+
+    @pytest.mark.parametrize("column", [4, 5, 6])
+    def test_nan_count_raises_value_error(self, tmp_path, column):
+        path = tmp_path / "record.csv"
+        record_to_csv(make_record(channel(0.42)), path)
+        lines = path.read_text().splitlines()
+        fields = lines[10].split(",")
+        fields[column] = "nan"
+        lines[10] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="must be finite"):
             record_from_csv(path)
 
     @pytest.mark.parametrize("key", ["window", "duration"])
