@@ -383,6 +383,10 @@ _FACTOR_COORDINATES = {rank: _factor_coordinates(rank) for rank in range(1, 5)}
 # halvings of a Newton step; doublings of the FISTA curvature estimate
 _NEWTON_BACKTRACKS = 12
 _FISTA_BACKTRACKS = 60
+# Relative resolution of the NLL in the descent tests: near the optimum the
+# decrease a step can make falls below the rounding of the NLL, and a test
+# that demanded it would stop the loop short of its gap tolerance.
+_NLL_RESOLUTION = 1e-12
 
 
 def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
@@ -432,13 +436,14 @@ def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
     step_dir = np.zeros((4, rank), dtype=complex)
     np.add.at(step_dir, (rows, cols), theta * units)
     step_dir = evecs @ step_dir
+    slack = _NLL_RESOLUTION * (1.0 + nll)
     step = 1.0
     for _ in range(_NEWTON_BACKTRACKS):
         trial = factor + step * step_dir
         new = trial @ trial.conj().T
         new /= np.trace(new).real
         new_nll, new_gmat = _nll_grad(new, counts, background, scale)
-        if new_nll <= nll + 1e-4 * step * slope:
+        if new_nll <= nll + 1e-4 * step * slope + slack:
             return new, new_nll, new_gmat
         step *= 0.5
     return None
@@ -477,10 +482,11 @@ def mle_reconstruct(
     Maximizes the Poisson log-likelihood of the coincidence counts with the
     per-setting accidental estimate as a known background.  The signal
     scale is estimated from the record totals.  Each iteration takes one
-    FISTA step (accelerated projected gradient with backtracking and
-    function-value restart; the projection is an eigendecomposition whose
-    eigenvalues are projected onto the simplex), then one Newton step at
-    the rank of the iterate.  The loop stops once the KKT gap
+    FISTA step (accelerated projected gradient; its curvature estimate is
+    halved, then doubled until the step passes the sufficient-decrease
+    test; momentum restarts when the NLL rises; the projection is an
+    eigendecomposition whose eigenvalues are projected onto the simplex),
+    then one Newton step at the rank of the iterate.  The loop stops once the KKT gap
     Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k the
     gradient, is at most ``tol`` times the total coincidence count; the gap
     bounds how far the likelihood is from its maximum.  Non-convergence
@@ -519,15 +525,17 @@ def mle_reconstruct(
     iterations = 0
     while iterations < max_iters:
         iterations += 1
+        slack = _NLL_RESOLUTION * (1.0 + nll)
+        lipschitz *= 0.5  # the step may grow again once past a steep region
         for _ in range(_FISTA_BACKTRACKS):
             new, new_evals, new_evecs = _project(ahead - gmat_ahead / lipschitz)
             new_nll, new_gmat = _nll_grad(new, *args)
             diff = new - ahead
             if new_nll <= (nll_ahead + np.vdot(gmat_ahead, diff).real
-                           + 0.5 * lipschitz * np.vdot(diff, diff).real):
+                           + 0.5 * lipschitz * np.vdot(diff, diff).real + slack):
                 break
             lipschitz *= 2.0
-        if not new_nll <= nll:
+        if not new_nll <= nll + slack:
             if ahead is rho:  # no descent even without momentum
                 break
             ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
