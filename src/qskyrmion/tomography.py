@@ -191,9 +191,10 @@ def simulate_counts(
     p_joint = np.einsum("kij,ji->k", proj, m).real
     p_a = np.einsum("kij,ji->k", proj_a, m).real
     p_b = np.einsum("kij,ji->k", proj_b, m).real
-    singles_a = duration * (pair_rate * p_a + noise_rate_a)
-    singles_b = duration * (pair_rate * p_b + noise_rate_b)
-    coinc = duration * pair_rate * p_joint + window * singles_a * singles_b
+    # a Born probability of 0 can round to -1e-32: clip the expected counts
+    singles_a = np.maximum(duration * (pair_rate * p_a + noise_rate_a), 0.0)
+    singles_b = np.maximum(duration * (pair_rate * p_b + noise_rate_b), 0.0)
+    coinc = np.maximum(duration * pair_rate * p_joint + window * singles_a * singles_b, 0.0)
     if mode == "poisson":
         rng = np.random.default_rng(seed)
         singles_a = rng.poisson(singles_a).astype(float)
@@ -331,10 +332,12 @@ def _nll_grad(rho, counts, background, scale, projectors=_PROJECTORS):
     if np.any(mu[seen] <= 0):
         return math.inf, None
     excess = np.divide(mu - counts, counts, out=np.zeros_like(mu), where=seen)
-    # c (x - log1p(x)) with x = mu/c - 1 keeps the precision lost to
-    # cancellation in mu - c - c log(mu/c) when mu and c are ~1e6
-    nll = float(np.sum(np.where(seen, counts * (excess - np.log1p(excess)), mu)))
-    weights = scale * np.where(seen, excess / (1.0 + excess), 1.0)
+    log_ratio = np.log(np.divide(mu, counts, out=np.ones_like(mu), where=seen))
+    # near mu = c, c (x - log1p(x)) with x = mu/c - 1 keeps the precision
+    # that cancellation in mu - c - c log(mu/c) loses when mu and c are ~1e6
+    np.log1p(excess, out=log_ratio, where=excess > -0.5)
+    nll = float(np.sum(np.where(seen, counts * (excess - log_ratio), mu)))
+    weights = scale * np.divide(mu - counts, mu, out=np.ones_like(mu), where=seen)
     gmat = (weights @ projectors.reshape(len(projectors), 16)).reshape(4, 4)
     return nll, gmat
 
@@ -488,7 +491,8 @@ def mle_reconstruct(
     eigendecomposition whose eigenvalues are projected onto the simplex),
     then one Newton step at the rank of the iterate.  The loop stops once the KKT gap
     Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k the
-    gradient, is at most ``tol`` times the total coincidence count; the gap
+    gradient, is at most ``tol`` times the total coincidence count (at
+    least 1); the gap
     bounds how far the likelihood is from its maximum.  Non-convergence
     returns the last iterate with ``converged`` False and a warning.
 
@@ -518,7 +522,7 @@ def mle_reconstruct(
     if gmat is None:  # a setting with counts has no expected counts: mix in I/4
         rho = 0.99 * rho + 0.0025 * np.eye(4)
         nll, gmat = _nll_grad(rho, *args)
-    tol_abs = tol * counts.sum()
+    tol_abs = tol * max(counts.sum(), 1.0)  # a record without counts is optimal anywhere
     lipschitz = scale
     ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
     gap = _kkt_gap(rho, gmat)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qskyrmion
 from qskyrmion import (
@@ -129,6 +131,16 @@ class TestSimulateCounts:
         kwargs[key] = value
         with pytest.raises(ValueError, match="finite"):
             simulate_counts(pure_state(BELL), **kwargs)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
+    def test_noiseless_pure_state_with_rounded_negative_probability(self, mode):
+        # Tr(Pi rho) of a zero-probability setting comes out as -2.7e-32
+        eps = 3e-16
+        psi = np.array([1 + 1j * eps, eps + 1j * eps, eps + 1j, eps + 1j * eps])
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        assert np.einsum("kij,ji->k", _PROJECTORS, rho).real.min() < 0
+        rec = make_record(rho, pair_rate=1.0, mode=mode, seed=0)
+        assert rec.coincidences.min() >= 0
 
     def test_record_validates_counts(self):
         with pytest.raises(ValueError):
@@ -433,6 +445,23 @@ class TestMleReconstruct:
                 est = mle_reconstruct(rec)
                 assert est.converged
                 assert est.log_likelihood >= ref_loglik - 1e-9 * abs(ref_loglik), (p, seed)
+
+    @given(parts=arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           rank=st.integers(1, 4), log_rate=st.floats(0.0, 6.5),
+           noise=st.sampled_from([0.0, 0.01, 0.3, 3.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_converges_for_any_state_and_count_level(self, parts, rank, log_rate, noise, seed):
+        # rho = G G^dag / Tr of rank 1-4, 1 to 3e6 pairs/s, noise 0-30x the pair rate
+        g = (parts[0] + 1j * parts[1])[:, :rank]
+        gram = g @ g.conj().T
+        assume(np.trace(gram).real > 1e-6)
+        rho = 0.5 * (gram + gram.conj().T) / np.trace(gram).real
+        rate = 10.0 ** log_rate
+        rec = make_record(rho, pair_rate=rate, noise=noise * rate, mode="poisson", seed=seed)
+        est = mle_reconstruct(rec)
+        assert est.converged
+        assert est.gap <= 1e-9 * max(rec.coincidences.sum(), 1.0)
+        assert est.rho.min_eigenvalue >= -1e-10
 
     def test_iteration_starved_run_warns_and_flags(self):
         rec = make_record(channel(0.35), noise=4e4, mode="poisson", seed=3)
