@@ -47,6 +47,7 @@ from .tomography import (
 from .topology import (
     ConvergenceRow,
     SkyrmionResult,
+    channel_skyrmion_numbers,
     convergence_scan,
     skyrmion_density,
     skyrmion_number,
@@ -74,6 +75,7 @@ __all__ = [
     "apply_isotropic_noise",
     "average_quantum_contrast",
     "channel_purity",
+    "channel_skyrmion_numbers",
     "coeff_field",
     "concurrence",
     "conditional_state",

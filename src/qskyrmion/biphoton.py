@@ -37,9 +37,11 @@ class HybridStateSpec:
     pol_basis: tuple[str, str] = ("H", "V")
 
     def __post_init__(self):
-        if not (math.isfinite(self.ell1) and math.isfinite(self.ell2)):
-            raise ValueError("topological charges must be finite integers")
-        if int(self.ell1) != self.ell1 or int(self.ell2) != self.ell2:
+        try:  # math.isfinite would overflow on integers beyond float range
+            integral = int(self.ell1) == self.ell1 and int(self.ell2) == self.ell2
+        except (OverflowError, ValueError):  # int() of inf or nan
+            raise ValueError("topological charges must be finite integers") from None
+        if not integral:
             raise ValueError("topological charges must be integers")
         if not math.isfinite(self.delta):
             raise ValueError("relative phase must be finite")

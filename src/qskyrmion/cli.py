@@ -34,9 +34,16 @@ from .tomography import (
     simulate_counts,
     witness_report,
 )
-from .topology import _window_grid, skyrmion_number, texture_for_state
+from .topology import (
+    _window_grid,
+    channel_skyrmion_numbers,
+    skyrmion_number,
+    texture_for_state,
+)
 
 RESIDUAL_WARN = 1e-2
+# most points a start/stop/step sweep may expand to, checked before the list is built
+MAX_SWEEP_POINTS = 10_000
 # rows formatted per piece of CSV text; bounds the memory a large grid takes
 _CSV_CHUNK_ROWS = 1024
 
@@ -184,12 +191,14 @@ def load_config(path) -> SweepConfig:
         step = take("step", float)
         if step == 0:
             raise ConfigError("step must be nonzero", entries["step"][1])
-        span = stop - start
-        if span != 0 and (span / step) < 0:
+        steps = (stop - start) / step  # inf when the quotient overflows
+        if steps < 0:
             raise ConfigError("step direction does not reach stop from start",
                               entries["step"][1])
-        count = int(round(span / step)) + 1 if span != 0 else 1
-        points = [start + i * step for i in range(count)]
+        if steps > MAX_SWEEP_POINTS or round(steps) + 1 > MAX_SWEEP_POINTS:
+            raise ConfigError(f"range sweep has more than {MAX_SWEEP_POINTS} points",
+                              entries["step"][1])
+        points = [start + i * step for i in range(round(steps) + 1)]
     else:
         raise ConfigError("sweep needs 'values' or 'start'/'stop'/'step'")
 
@@ -271,43 +280,46 @@ def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
     )
 
 
-def _sweep_point(cfg: SweepConfig, coeffs, p: float, index: int, deterministic: bool):
-    """One sweep row: channel (or simulate+reconstruct), witnesses, N."""
-    rho = apply_isotropic_noise(pure_state(cfg.state), p)
-    qc = contrast_from_p(p)
-    converged = True
-    if cfg.pipeline == "tomographic":
-        record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
-        estimate = mle_reconstruct(record)
-        rho, converged = estimate.rho, estimate.converged
-        qc = average_quantum_contrast(record)
-    witnesses = witness_report(rho, cfg.state)
-    result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
-    return SweepRow(
-        p=p,
-        quantum_contrast=qc,
-        purity=witnesses.purity,
-        concurrence=witnesses.concurrence,
-        fidelity=witnesses.fidelity,
-        skyrmion_number=result.number,
-        residual=result.residual,
-        masked_fraction=result.masked_fraction,
-        converged=converged,
-    )
-
-
 def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
-    """Run the configured sweep; rows come back ordered by sweep variable.
+    """Run the configured sweep; rows come back in the order of the sweep points.
 
     For a ``qc`` sweep each point is mapped to its channel weight first;
-    every row carries both p and the contrast it implies.
+    every row carries both p and the contrast it implies.  The analytic
+    pipeline's states are channel outputs p rho + (1 - p) I/4, so their
+    Skyrmion numbers share one texture (:func:`channel_skyrmion_numbers`).
+    A tomographic point reconstructs a state that is not a channel output
+    and takes the whole rho -> texture -> N chain.
     """
-    grid = cfg.grid()
-    coeffs = coeff_field(cfg.state, grid, waist=cfg.waist)
+    coeffs = coeff_field(cfg.state, cfg.grid(), waist=cfg.waist)
+    pure = pure_state(cfg.state)
+    weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
+    if cfg.pipeline == "analytic":
+        numbers = channel_skyrmion_numbers(pure, coeffs, weights)
     rows = []
-    for index, value in enumerate(cfg.points):
-        p = value if cfg.sweep_var == "p" else contrast_to_p(value)
-        rows.append(_sweep_point(cfg, coeffs, p, index, deterministic))
+    for index, p in enumerate(weights):
+        rho = apply_isotropic_noise(pure, p)
+        qc = contrast_from_p(p)
+        converged = True
+        if cfg.pipeline == "tomographic":
+            record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
+            estimate = mle_reconstruct(record)
+            rho, converged = estimate.rho, estimate.converged
+            qc = average_quantum_contrast(record)
+            result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
+        else:
+            result = next(numbers)
+        witnesses = witness_report(rho, cfg.state, target=pure)
+        rows.append(SweepRow(
+            p=p,
+            quantum_contrast=qc,
+            purity=witnesses.purity,
+            concurrence=witnesses.concurrence,
+            fidelity=witnesses.fidelity,
+            skyrmion_number=result.number,
+            residual=result.residual,
+            masked_fraction=result.masked_fraction,
+            converged=converged,
+        ))
     return rows
 
 
@@ -612,7 +624,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

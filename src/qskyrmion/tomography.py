@@ -635,9 +635,14 @@ class WitnessReport:
     against_target: HybridStateSpec
 
 
-def witness_report(rho, target_spec: HybridStateSpec) -> WitnessReport:
-    """Standard entanglement witnesses of a state against the ideal pure state."""
-    target = pure_state(target_spec)
+def witness_report(rho, target_spec: HybridStateSpec, *,
+                   target: DensityMatrix4 | None = None) -> WitnessReport:
+    """Standard entanglement witnesses of a state against the ideal pure state.
+
+    ``target`` is ``pure_state(target_spec)``, built here unless given.
+    """
+    if target is None:
+        target = pure_state(target_spec)
     return WitnessReport(
         purity=purity(rho),
         concurrence=concurrence(rho),

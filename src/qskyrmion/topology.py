@@ -15,14 +15,15 @@ swapping the two charges and flips sign when the charge difference flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
-from .lgmodes import GridSpec, coeff_field
-from .stokesfield import UnitVectorField, normalize_stokes, stokes_field
+from .lgmodes import CoeffField, GridSpec, coeff_field
+from .stokesfield import DEGENERACY_EPS, UnitVectorField, normalize_stokes, stokes_field
 
 # one-sided weights of symmetric central-difference stencils by order
 _CENTRAL_WEIGHTS = {
@@ -128,15 +129,42 @@ def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np
     density = sx * (ay * bz - az * by)
     density += sy * (az * bx - ax * bz)
     density += sz * (ax * by - ay * bx)
-    mask = field.mask
+    density[_stencil_footprint(field.mask)] = 0.0
+    return density
+
+
+def _stencil_footprint(mask: np.ndarray) -> np.ndarray:
+    """The points of ``mask`` and every point whose difference stencil
+    (reaching STENCIL_ORDER // 2 points along each axis) touches one."""
     bad = mask.copy()
     for shift in range(1, STENCIL_ORDER // 2 + 1):
         bad[shift:, :] |= mask[:-shift, :]
         bad[:-shift, :] |= mask[shift:, :]
         bad[:, shift:] |= mask[:, :-shift]
         bad[:, :-shift] |= mask[:, shift:]
-    density[bad] = 0.0
-    return density
+    return bad
+
+
+def _collapsed_result(grid: GridSpec) -> SkyrmionResult:
+    """Exactly N = 0 for a fully masked texture, contracted to a point."""
+    n = grid.samples_per_axis
+    return SkyrmionResult(
+        number=0.0, density=np.zeros((n, n)), rounded=0, residual=0.0,
+        grid=grid, masked_fraction=1.0,
+    )
+
+
+def _integrated_result(density: np.ndarray, grid: GridSpec,
+                       masked_fraction: float) -> SkyrmionResult:
+    """Trapezoidal integral of ``density`` over the window, divided by 4*pi."""
+    h = grid.spacing
+    total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
+    number = float(total / (4.0 * math.pi))
+    rounded = int(round(number))
+    return SkyrmionResult(
+        number=number, density=density, rounded=rounded,
+        residual=abs(number - rounded), grid=grid, masked_fraction=masked_fraction,
+    )
 
 
 def skyrmion_number(field: UnitVectorField, grid: GridSpec | None = None) -> SkyrmionResult:
@@ -152,20 +180,68 @@ def skyrmion_number(field: UnitVectorField, grid: GridSpec | None = None) -> Sky
     grid = field.grid
     masked_fraction = field.masked_fraction
     if field.collapsed or masked_fraction == 1.0:
-        n = grid.samples_per_axis
-        return SkyrmionResult(
-            number=0.0, density=np.zeros((n, n)), rounded=0, residual=0.0,
-            grid=grid, masked_fraction=1.0,
-        )
-    density = skyrmion_density(field)
-    h = grid.spacing
-    total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
-    number = float(total / (4.0 * math.pi))
-    rounded = int(round(number))
-    return SkyrmionResult(
-        number=number, density=density, rounded=rounded,
-        residual=abs(number - rounded), grid=grid, masked_fraction=masked_fraction,
-    )
+        return _collapsed_result(grid)
+    return _integrated_result(skyrmion_density(field), grid, masked_fraction)
+
+
+def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[SkyrmionResult]:
+    """Skyrmion numbers of the isotropic-channel outputs of ``rho``, one per weight.
+
+    The Stokes map of I/4 feeds S0 alone, so at weight p the vector
+    (S1, S2, S3) of p rho + (1 - p) I/4 is exactly p times that of ``rho``.
+    The unit texture is therefore the same at every p > 0; only the
+    degenerate set p |S| < DEGENERACY_EPS grows as p falls.  The texture and
+    its density are built once, here.  Each weight then zeroes the stencil
+    footprint of its own mask in a copy of that density and integrates it as
+    :func:`skyrmion_number` does, including the exact N = 0 of a fully masked
+    texture at p = 0.  The numbers match the per-point chain
+    ``skyrmion_number(normalize_stokes(stokes_field(apply_isotropic_noise(
+    rho, p), coeffs)))`` up to the rounding of that chain's mixed state.
+
+    Parameters
+    ----------
+    rho : DensityMatrix4 or (4, 4) array
+        The channel input, whose texture is that of p = 1.
+    coeffs : CoeffField
+    weights : iterable of float
+        Channel weights in [0, 1], in any order; repeats are allowed.
+
+    Returns
+    -------
+    iterator of SkyrmionResult
+        One per weight, in the order given, each built only when it is
+        requested.
+    """
+    weights = [float(p) for p in weights]
+    for p in weights:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
+    raw = stokes_field(rho, coeffs)
+    norm = raw.vector_norm()
+    field = normalize_stokes(raw)
+    del raw  # the (n, n, 4) Stokes array is not needed past this point
+    return _channel_results(skyrmion_density(field), np.count_nonzero(field.mask),
+                            norm, coeffs.mask, coeffs.grid, weights)
+
+
+def _channel_results(density, base_count, norm, mask, grid, weights) -> Iterator[SkyrmionResult]:
+    # base_count points are degenerate at p = 1, and density has their stencil
+    # footprint zeroed; the set only grows as p falls, so one of that size is it
+    base = None
+    for p in weights:
+        degenerate = (p * norm < DEGENERACY_EPS) | mask
+        count = np.count_nonzero(degenerate)
+        masked_fraction = count / degenerate.size
+        if masked_fraction == 1.0:
+            yield _collapsed_result(grid)
+        elif count == base_count:
+            if base is None:
+                base = _integrated_result(density, grid, masked_fraction)
+            yield replace(base, density=density.copy())
+        else:
+            masked = density.copy()
+            masked[_stencil_footprint(degenerate)] = 0.0
+            yield _integrated_result(masked, grid, masked_fraction)
 
 
 def skyrmion_number_analytic(spec: HybridStateSpec) -> int:

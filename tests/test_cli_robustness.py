@@ -1,0 +1,173 @@
+"""Malformed inputs fail with a validation error and exit code 1, never a traceback.
+
+Hypothesis feeds arbitrary and config-shaped text and bytes into
+``load_config`` and ``record_from_csv``; each may raise ``ConfigError`` or
+``ValueError`` only.  The sweep command runs only on configs that fail to
+load, so no generated sweep is ever computed.
+"""
+
+import contextlib
+import io
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qskyrmion import (
+    HybridStateSpec,
+    apply_isotropic_noise,
+    pure_state,
+    record_from_csv,
+    record_to_csv,
+    simulate_counts,
+)
+from qskyrmion.cli import MAX_SWEEP_POINTS, ConfigError, load_config, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+KEYS = ["ell1", "ell2", "delta", "sweep", "values", "start", "stop", "step", "pipeline",
+        "samples", "half_width", "waist", "pair_rate", "window", "duration", "seed", "out"]
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def range_config(tmp_path, step, start="0", stop="1"):
+    path = tmp_path / "range.cfg"
+    path.write_text(f"ell1 = 0\nell2 = 1\nstart = {start}\nstop = {stop}\nstep = {step}\n")
+    return path
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    ("0", "1", "1e-300"),  # 1e300 points
+    ("0", "1", "5e-324"),  # the point count overflows to inf
+    ("-1e308", "1e308", "1"),  # so does the span
+    ("0", "1", str(1.0 / MAX_SWEEP_POINTS)),  # one point over the limit
+])
+def test_range_sweep_over_point_limit_is_rejected(tmp_path, capsys, start, stop, step):
+    path = range_config(tmp_path, step, start, stop)
+    with pytest.raises(ConfigError, match=f"line 5: range sweep has more than {MAX_SWEEP_POINTS}"):
+        load_config(path)
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "line 5: range sweep has more than" in capsys.readouterr().err
+
+
+def test_range_sweep_at_point_limit_is_accepted(tmp_path):
+    cfg = load_config(range_config(tmp_path, 1.0 / (MAX_SWEEP_POINTS - 1)))
+    assert len(cfg.points) == MAX_SWEEP_POINTS
+    assert cfg.points[0] == 0.0 and cfg.points[-1] == pytest.approx(1.0)
+
+
+def test_directory_as_config_exits_1_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qskyrmion.cli", "sweep", "--config", str(tmp_path)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Is a directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_charge_beyond_float_range_loads_as_an_integer(tmp_path):
+    # the state's finiteness check once converted it to float and overflowed
+    path = tmp_path / "big.cfg"
+    path.write_text(f"ell1 = 0\nell2 = {'9' * 400}\nvalues = 1\n")
+    assert load_config(path).state.ell2 == int("9" * 400)
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers().map(str),
+    st.just("9" * 400),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["auto", "p", "qc", "analytic", "tomographic", "1e-300", "5e-324",
+                     "-0.05", "0", "1"]),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    st.lists(NUMBERS, max_size=6).map(", ".join),
+    st.text(max_size=20),
+)
+LINES = st.one_of(
+    st.tuples(st.sampled_from(KEYS + ["", "nope"]), VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=30),
+    st.sampled_from(["# comment", "", "=", "ell1 =", "= 3"]),
+)
+CONFIG_TEXT = st.one_of(st.text(), st.lists(LINES, max_size=12).map("\n".join))
+
+
+def check_config(path):
+    """``load_config`` fails cleanly or succeeds; a failing file makes the
+    sweep command exit 1 with one ``error:`` line and nothing else."""
+    try:
+        load_config(path)
+    except ValueError:  # ConfigError is a ValueError
+        pass
+    else:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sweep", "--config", str(path)])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+
+
+@given(text=CONFIG_TEXT)
+@FUZZ
+def test_fuzz_config_text(tmp_path, text):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    check_config(path)
+
+
+@given(data=st.binary(max_size=200))
+@FUZZ
+def test_fuzz_config_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    check_config(path)
+
+
+@pytest.fixture(scope="module")
+def record_lines(tmp_path_factory):
+    rho = apply_isotropic_noise(pure_state(HybridStateSpec(0, 1)), 0.6)
+    record = simulate_counts(rho, pair_rate=1e5, noise_rate_a=2e4, noise_rate_b=2e4,
+                             mode="poisson", seed=3)
+    path = tmp_path_factory.mktemp("record") / "record.csv"
+    record_to_csv(record, path)
+    return path.read_text().splitlines()
+
+
+def check_record(path):
+    try:
+        record_from_csv(path)
+    except ValueError:
+        pass
+
+
+@given(edits=st.lists(st.tuples(st.integers(0, 44), st.one_of(
+    st.text(max_size=40), st.lists(NUMBERS, min_size=1, max_size=8).map(",".join),
+)), max_size=4), drop=st.booleans())
+@FUZZ
+def test_fuzz_record_edits(tmp_path, record_lines, edits, drop):
+    lines = list(record_lines)
+    for index, text in edits:
+        index %= len(lines)
+        if drop:
+            del lines[index]
+        else:
+            lines[index] = text
+    path = tmp_path / "record.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
+    check_record(path)
+
+
+@given(data=st.one_of(st.binary(max_size=400), st.text().map(
+    lambda t: t.encode("utf-8", "surrogatepass"))))
+@FUZZ
+def test_fuzz_record_bytes(tmp_path, data):
+    path = tmp_path / "record.csv"
+    path.write_bytes(data)
+    check_record(path)
