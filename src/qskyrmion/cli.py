@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .biphoton import (
     contrast_to_p,
     pure_state,
 )
-from .lgmodes import GridSpec, coeff_field
+from .lgmodes import GridSpec, check_charge, coeff_field
 from .stokesfield import normalize_stokes, stokes_field
 from .tomography import (
     average_quantum_contrast,
@@ -85,10 +85,20 @@ class SweepConfig:
     duration: float
     seed: int
     out_dir: str | None = None
+    lines: dict[str, int] = field(default_factory=dict, repr=False)  # key -> config line
 
     def grid(self) -> GridSpec:
         half_width = None if self.half_width is None else self.half_width * self.waist
         return _window_grid(self.state, self.samples, half_width, waist=self.waist)
+
+    def check_charges(self) -> None:
+        """ConfigError, at the key's line, for a charge whose envelope the
+        sweep's texture cannot form (:func:`lgmodes.check_charge`)."""
+        for key in ("ell1", "ell2"):
+            try:
+                check_charge(getattr(self.state, key))
+            except ValueError as exc:
+                raise ConfigError(str(exc), self.lines.get(key)) from None
 
 
 _SWEEP_COLUMNS = ("p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,"
@@ -236,6 +246,7 @@ def load_config(path) -> SweepConfig:
         duration=take("duration", float, DEFAULTS["duration"]),
         seed=take("seed", int, DEFAULTS["seed"]),
         out_dir=take("out", str, None),
+        lines={key: lineno for key, (_, lineno) in entries.items()},
     )
     if cfg.samples < 16:
         raise ConfigError("samples must be at least 16")
@@ -264,6 +275,28 @@ def _write_csv(path, header_lines, columns: str, rows) -> None:
     with open(path, "w") as fh:
         fh.writelines(h + "\n" for h in header_lines)
         fh.writelines(_csv_chunks(columns, rows))
+
+
+def _write_grid_csv(path, header_lines, columns: str, grid, values) -> None:
+    """One row (x, y, values at that point...) per grid point in [i, j] order,
+    the same text as :func:`_write_csv` gives those rows.
+
+    The grid has only n distinct coordinates per axis, so each is formatted
+    once and spliced into the row templates as text; only ``values`` go
+    through ``%.12g``, one block of whole grid rows at a time.
+    """
+    n = grid.samples_per_axis
+    values = np.asarray(values, dtype=float).reshape(n, n, -1)
+    coords = ["%.12g" % c for c in grid.axis().tolist()]
+    y_rows = [y + ",%.12g" * values.shape[2] for y in coords]
+    block = max(1, _CSV_CHUNK_ROWS // n)
+    with open(path, "w") as fh:
+        fh.writelines(h + "\n" for h in header_lines)
+        fh.write(columns + "\n")
+        for start in range(0, n, block):
+            template = "".join([x + "," + ("\n" + x + ",").join(y_rows) + "\n"
+                                for x in coords[start : start + block]])
+            fh.write(template % tuple(values[start : start + block].ravel().tolist()))
 
 
 def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
@@ -352,12 +385,6 @@ class GalleryRow:
         return round(self.number_clean) == round(self.number_noisy)
 
 
-def _grid_table(grid, values: np.ndarray) -> np.ndarray:
-    """Rows (x, y, values at that point...) over every grid point, in [i, j] order."""
-    X, Y = grid.mesh()
-    return np.column_stack([X.ravel(), Y.ravel(), values.reshape(X.size, -1)])
-
-
 def run_topology_gallery(
     specs: list[HybridStateSpec],
     p: float,
@@ -387,12 +414,12 @@ def run_topology_gallery(
             res = skyrmion_number(field)
             results[tag] = res
             if out is not None:
-                _write_csv(out / f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv", [
+                _write_grid_csv(out / f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv", [
                     f"# state = ({spec.ell1}, {spec.ell2}, delta={_fmt(spec.delta)})",
                     f"# p = {_fmt(weight)}",
                     f"# skyrmion_number = {_fmt(res.number)}",
                     f"# half_width = {_fmt(field.grid.half_width)}",
-                ], "x,y,s1,s2,s3", _grid_table(field.grid, field.vectors))
+                ], "x,y,s1,s2,s3", field.grid, field.vectors)
         rows.append(GalleryRow(
             state=spec,
             number_clean=results["clean"].number,
@@ -532,17 +559,18 @@ def _cmd_skyrmion(args) -> int:
     print(f"N = {result.number:.6f}  (rounded {result.rounded}, "
           f"residual {result.residual:.2e}, masked {result.masked_fraction:.3f})")
     if args.density_out:
-        _write_csv(args.density_out, [
+        _write_grid_csv(args.density_out, [
             f"# samples_per_axis = {grid.samples_per_axis}",
             f"# half_width = {_fmt(grid.half_width)}",
             f"# skyrmion_number = {_fmt(result.number)}",
-        ], "x,y,density", _grid_table(grid, result.density))
+        ], "x,y,density", grid, result.density)
         print(f"density written to {args.density_out}")
     return 2 if result.residual > RESIDUAL_WARN and result.masked_fraction < 1.0 else 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    cfg.check_charges()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:

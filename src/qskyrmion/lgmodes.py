@@ -23,6 +23,8 @@ from .biphoton import HybridStateSpec
 NORMALIZATION_TOL = 1e-12
 # log of the smallest positive double; below this eta underflows
 _LOG_TINY = math.log(5e-324)
+# largest |ell| whose factorial, and so whose envelope normalization, is a finite double
+MAX_CHARGE = 170
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ def lg_amplitude(r, phi, mode: ModeSpec):
     """Laguerre-Gaussian amplitude LG_ell(r, phi) at the waist plane.
 
     This is C (sqrt(2) r / w)^{|ell|} exp(-r^2/w^2) exp(i ell phi) with C
-    chosen so the mode is L2-normalized over the plane.  Scalars or
-    broadcastable arrays are accepted.
+    chosen so the mode is L2-normalized over the plane, evaluated as the
+    exponential of :func:`_log_envelope`.  Scalars or broadcastable arrays
+    are accepted; |ell| above ``MAX_CHARGE`` raises ValueError.
 
     Parameters
     ----------
@@ -133,16 +136,22 @@ def lg_amplitude(r, phi, mode: ModeSpec):
         raise ValueError("r and phi must be finite")
     if np.any(r < 0):
         raise ValueError("radius must be non-negative")
-    la, w = abs(mode.ell), mode.waist
-    norm = math.sqrt(2.0 / (math.pi * math.factorial(la))) / w
-    radial = norm * (np.sqrt(2.0) * r / w) ** la * np.exp(-((r / w) ** 2))
-    out = radial * np.exp(1j * mode.ell * phi)
+    out = np.exp(_log_envelope(r, mode.ell, mode.waist)) * np.exp(1j * mode.ell * phi)
     return out.item() if out.ndim == 0 else out
+
+
+def check_charge(ell: int) -> int:
+    """|ell|, or ValueError when its envelope cannot be normalized in doubles."""
+    la = abs(ell)
+    if la > MAX_CHARGE:
+        raise ValueError(f"|ell| = {la} exceeds {MAX_CHARGE}: the Laguerre-Gaussian "
+                         "normalization needs |ell|! as a finite double")
+    return la
 
 
 def _log_envelope(r: np.ndarray, ell: int, waist: float) -> np.ndarray:
     """log |LG_ell(r)|, stable far beyond underflow."""
-    la = abs(ell)
+    la = check_charge(ell)
     lc = 0.5 * math.log(2.0 / (math.pi * math.factorial(la))) - math.log(waist)
     if la == 0:
         return lc - (r / waist) ** 2

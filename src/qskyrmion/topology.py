@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
-from .lgmodes import CoeffField, GridSpec, coeff_field
+from .lgmodes import CoeffField, GridSpec, check_charge, coeff_field
 from .stokesfield import DEGENERACY_EPS, UnitVectorField, normalize_stokes, stokes_field
 
 # one-sided weights of symmetric central-difference stencils by order
@@ -276,11 +276,12 @@ def suggested_grid(
     envelope itself underflows double precision, so larger windows only
     cost resolution).
     """
-    da = abs(spec.ell2) - abs(spec.ell1)
+    la1, la2 = check_charge(spec.ell1), check_charge(spec.ell2)
+    da = la2 - la1
     dl = abs(spec.delta_ell)
     if da == 0 or dl == 0:
         return GridSpec(_MIN_HALF_WIDTH * waist, samples)
-    chat = math.sqrt(math.factorial(abs(spec.ell1)) / math.factorial(abs(spec.ell2)))
+    chat = math.sqrt(math.factorial(la1) / math.factorial(la2))
     if da < 0:
         chat, da = 1.0 / chat, -da
     g_needed = math.sqrt(dl / tail_budget)

@@ -16,14 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qskyrmion import (
+    GridSpec,
     HybridStateSpec,
+    ModeSpec,
     apply_isotropic_noise,
+    coeff_field,
+    lg_amplitude,
     pure_state,
     record_from_csv,
     record_to_csv,
     simulate_counts,
 )
 from qskyrmion.cli import MAX_SWEEP_POINTS, ConfigError, load_config, main
+from qskyrmion.lgmodes import MAX_CHARGE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 KEYS = ["ell1", "ell2", "delta", "sweep", "values", "start", "stop", "step", "pipeline",
@@ -171,3 +176,49 @@ def test_fuzz_record_bytes(tmp_path, data):
     path = tmp_path / "record.csv"
     path.write_bytes(data)
     check_record(path)
+
+
+# --- OAM charges beyond the envelope limit ------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["skyrmion", "--ell1", "0", "--ell2", "171", "--samples", "32"],  # once OverflowError
+    ["skyrmion", "--ell1", "0", "--ell2", "200", "--samples", "32"],  # once ZeroDivisionError
+    ["skyrmion", "--ell1", "-171", "--ell2", "3", "--samples", "32", "--half-width", "5"],
+    ["skyrmion", "--ell1", "0", "--ell2", "9" * 400, "--samples", "32"],
+    ["gallery", "--state", "0,200", "--samples", "32"],
+    ["gallery", "--state", "0,1", "--state=-171,2", "--samples", "32"],
+    ["converge", "--ell1", "0", "--ell2", "300", "--resolutions", "32"],
+])
+def test_charge_beyond_envelope_limit_exits_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: |ell| = ") and f"exceeds {MAX_CHARGE}" in err
+
+
+@pytest.mark.parametrize("ell", ["171", "-200", "9" * 400], ids=["171", "-200", "400-digits"])
+def test_sweep_charge_beyond_envelope_limit_reports_line(tmp_path, capsys, ell):
+    path = tmp_path / "big.cfg"
+    path.write_text(f"ell1 = 0\nell2 = {ell}\nvalues = 1\n")
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: |ell| = ")
+    path.write_text(f"# charges swapped\nell2 = 1\nell1 = {ell}\nvalues = 1\n")
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: |ell| = ")
+
+
+def test_charge_at_envelope_limit_forms_a_texture(capsys):
+    # exit 2 is the quadrature-residual warning: a 32^2 grid cannot resolve N = 170
+    assert main(["skyrmion", "--ell1", "0", "--ell2", str(MAX_CHARGE), "--samples", "32"]) == 2
+    assert capsys.readouterr().out.startswith("N = ")
+    lg_amplitude(1.0, 0.0, ModeSpec(-MAX_CHARGE))
+    with pytest.raises(ValueError, match=f"exceeds {MAX_CHARGE}"):
+        lg_amplitude(1.0, 0.0, ModeSpec(MAX_CHARGE + 1))
+    with pytest.raises(ValueError, match=f"exceeds {MAX_CHARGE}"):
+        coeff_field(HybridStateSpec(MAX_CHARGE + 1, 0), GridSpec(5.0, 16))
+
+
+@pytest.mark.parametrize("command", ["state", "tomo"])
+def test_state_and_tomo_accept_any_charge(capsys, command):
+    # neither forms an envelope, so no charge limit applies
+    assert main([command, "--ell1", "0", "--ell2", "9" * 400, "--p", "0.7"]) == 0
+    assert "fidelity" in capsys.readouterr().out
