@@ -85,7 +85,7 @@ class SweepConfig:
     duration: float
     seed: int
     out_dir: str | None = None
-    lines: dict[str, int] = field(default_factory=dict, repr=False)  # key -> config line
+    lines: dict[str, int] = field(default_factory=dict, repr=False, compare=False)  # key -> line
 
     def grid(self) -> GridSpec:
         half_width = None if self.half_width is None else self.half_width * self.waist

@@ -181,8 +181,8 @@ def test_fuzz_record_bytes(tmp_path, data):
 # --- OAM charges beyond the envelope limit ------------------------------------
 
 @pytest.mark.parametrize("argv", [
-    ["skyrmion", "--ell1", "0", "--ell2", "171", "--samples", "32"],  # once OverflowError
-    ["skyrmion", "--ell1", "0", "--ell2", "200", "--samples", "32"],  # once ZeroDivisionError
+    ["skyrmion", "--ell1", "0", "--ell2", "171", "--samples", "32"],  # 171! overflows a double
+    ["skyrmion", "--ell1", "0", "--ell2", "200", "--samples", "32"],  # 0!/200! underflows to 0
     ["skyrmion", "--ell1", "-171", "--ell2", "3", "--samples", "32", "--half-width", "5"],
     ["skyrmion", "--ell1", "0", "--ell2", "9" * 400, "--samples", "32"],
     ["gallery", "--state", "0,200", "--samples", "32"],
