@@ -20,6 +20,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PURITY_TOL = 1e-8
+# d of the closed-form contrast and purity relations: each photon is a qubit
+_D = 2
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,12 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def channel_purity(p: float, d: int = 2) -> float:
+def channel_purity(p: float) -> float:
     """Closed-form purity of the channel output, p^2 + (1 - p^2)/d^2."""
-    return p * p + (1.0 - p * p) / (d * d)
+    return p * p + (1.0 - p * p) / (_D * _D)
 
 
-def contrast_from_p(p: float, d: int = 2) -> float:
+def contrast_from_p(p: float) -> float:
     """Quantum contrast implied by signal weight p: (1 - p + p*d)/(1 - p).
 
     Diverges as p -> 1 (noiseless limit); returns ``inf`` at p = 1.
@@ -157,10 +159,10 @@ def contrast_from_p(p: float, d: int = 2) -> float:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 1.0:
         return math.inf
-    return (1.0 - p + p * d) / (1.0 - p)
+    return (1.0 - p + p * _D) / (1.0 - p)
 
 
-def contrast_to_p(qc: float, d: int = 2) -> float:
+def contrast_to_p(qc: float) -> float:
     """Signal weight p from quantum contrast: (Qc - 1)/(Qc - 1 + d).
 
     Qc = 1 (pure accidentals) maps to p = 0; Qc -> inf maps to p -> 1.
@@ -169,10 +171,10 @@ def contrast_to_p(qc: float, d: int = 2) -> float:
         return 1.0
     if qc < 1.0:
         raise ValueError(f"quantum contrast must be >= 1, got {qc}")
-    return (qc - 1.0) / (qc - 1.0 + d)
+    return (qc - 1.0) / (qc - 1.0 + _D)
 
 
-def contrast_to_purity(qc: float, d: int = 2) -> float:
+def contrast_to_purity(qc: float) -> float:
     """Purity of the state at a given quantum contrast.
 
     Evaluates gamma = [d(Qc^2 - 2Qc + 2) + 2(Qc - 1)] / [d (d + Qc - 1)^2],
@@ -182,8 +184,8 @@ def contrast_to_purity(qc: float, d: int = 2) -> float:
         return 1.0
     if qc < 1.0:
         raise ValueError(f"quantum contrast must be >= 1, got {qc}")
-    num = d * (qc * qc - 2.0 * qc + 2.0) + 2.0 * (qc - 1.0)
-    den = d * (d + qc - 1.0) ** 2
+    num = _D * (qc * qc - 2.0 * qc + 2.0) + 2.0 * (qc - 1.0)
+    den = _D * (_D + qc - 1.0) ** 2
     return num / den
 
 

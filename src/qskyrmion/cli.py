@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .topology import (
     _window_grid,
     channel_skyrmion_numbers,
     skyrmion_number,
+    suggested_grid,
     texture_for_state,
 )
 
@@ -85,20 +86,10 @@ class SweepConfig:
     duration: float
     seed: int
     out_dir: str | None = None
-    lines: dict[str, int] = field(default_factory=dict, repr=False, compare=False)  # key -> line
 
     def grid(self) -> GridSpec:
         half_width = None if self.half_width is None else self.half_width * self.waist
         return _window_grid(self.state, self.samples, half_width, waist=self.waist)
-
-    def check_charges(self) -> None:
-        """ConfigError, at the key's line, for a charge whose envelope the
-        sweep's texture cannot form (:func:`lgmodes.check_charge`)."""
-        for key in ("ell1", "ell2"):
-            try:
-                check_charge(getattr(self.state, key))
-            except ValueError as exc:
-                raise ConfigError(str(exc), self.lines.get(key)) from None
 
 
 _SWEEP_COLUMNS = ("p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,"
@@ -169,6 +160,11 @@ def load_config(path) -> SweepConfig:
 
     ell1 = take("ell1", int, required=True)
     ell2 = take("ell2", int, required=True)
+    for key, ell in (("ell1", ell1), ("ell2", ell2)):
+        try:  # a charge whose envelope no sweep's texture can form
+            check_charge(ell)
+        except ValueError as exc:
+            raise ConfigError(str(exc), entries[key][1]) from None
     delta = take("delta", float, DEFAULTS["delta"])
     state = HybridStateSpec(ell1, ell2, delta)
 
@@ -246,7 +242,6 @@ def load_config(path) -> SweepConfig:
         duration=take("duration", float, DEFAULTS["duration"]),
         seed=take("seed", int, DEFAULTS["seed"]),
         out_dir=take("out", str, None),
-        lines={key: lineno for key, (_, lineno) in entries.items()},
     )
     if cfg.samples < 16:
         raise ConfigError("samples must be at least 16")
@@ -403,14 +398,16 @@ def run_topology_gallery(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    # every state's window, and so its charges, is checked before any file is written
+    grids = [suggested_grid(spec, samples, waist=waist) for spec in specs]
     rows = []
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
+    for spec, grid in zip(specs, grids):
         results = {}
         for tag, weight in (("clean", 1.0), ("noisy", p)):
-            field = texture_for_state(spec, weight, waist=waist, samples=samples)
+            field = texture_for_state(spec, weight, grid, waist=waist)
             res = skyrmion_number(field)
             results[tag] = res
             if out is not None:
@@ -467,13 +464,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_state_args(p, with_p=True):
+def _add_state_args(p):
     p.add_argument("--ell1", type=int, required=True, help="first OAM charge")
     p.add_argument("--ell2", type=int, required=True, help="second OAM charge")
     p.add_argument("--delta", type=float, default=0.0, help="relative phase (rad)")
-    if with_p:
-        p.add_argument("--p", type=float, default=1.0,
-                       help="isotropic channel weight in [0, 1]")
+    p.add_argument("--p", type=float, default=1.0, help="isotropic channel weight in [0, 1]")
 
 
 def _half_width_arg(args) -> float | None:
@@ -570,7 +565,6 @@ def _cmd_skyrmion(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    cfg.check_charges()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -609,6 +603,9 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    for flag in ("pair_rate", "window", "duration"):
+        if not 0 < getattr(args, flag) < math.inf:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be positive and finite")
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
     record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)

@@ -236,12 +236,12 @@ def noise_rate_for_contrast(
     return max(n, 0.0)
 
 
-def average_quantum_contrast(record: TomographyRecord, cap: float = QC_CAP) -> float:
+def average_quantum_contrast(record: TomographyRecord) -> float:
     """Average quantum contrast, (1/(n T)) * sum of C/(A*B) over settings.
 
     Settings whose singles product is zero carry no accidental estimate;
     they are excluded from the average with a warning.  The result is
-    capped at ``cap`` so vanishing accidentals report a sentinel, never
+    capped at ``QC_CAP`` so vanishing accidentals report a sentinel, never
     infinity.
     """
     ab = record.singles_a * record.singles_b
@@ -253,10 +253,10 @@ def average_quantum_contrast(record: TomographyRecord, cap: float = QC_CAP) -> f
             "contrast average", stacklevel=2)
     if not np.any(valid):
         warnings.warn("no valid settings; returning capped contrast", stacklevel=2)
-        return cap
+        return QC_CAP
     terms = record.coincidences[valid] / (record.window * ab[valid])
     value = float(np.mean(terms))
-    return min(value, cap)
+    return min(value, QC_CAP)
 
 
 # --- reconstruction ---------------------------------------------------------
@@ -271,7 +271,7 @@ _DESIGN = np.einsum("kij,cji->kc", _PROJECTORS, _PAULI_BASIS).real / 4.0
 _DESIGN_NORMS = np.einsum("kc,kc->c", _DESIGN[:, 1:], _DESIGN[:, 1:])
 
 
-def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True) -> DensityMatrix4:
+def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
     """Least-squares state estimate from a tomography record.
 
     Accidentals are subtracted per setting before the frequencies are
@@ -280,8 +280,7 @@ def linear_inversion(record: TomographyRecord, subtract_accidentals: bool = True
     construction but may carry slightly negative eigenvalues, reported via
     ``min_eigenvalue`` rather than repaired.
     """
-    counts = record.coincidences - record.accidentals() if subtract_accidentals \
-        else record.coincidences.copy()
+    counts = record.coincidences - record.accidentals()
     total = counts.sum()
     if total <= 0:
         raise ValueError("record carries no net signal counts")
@@ -383,9 +382,11 @@ def _factor_coordinates(rank):
 
 
 _FACTOR_COORDINATES = {rank: _factor_coordinates(rank) for rank in range(1, 5)}
-# halvings of a Newton step; doublings of the FISTA curvature estimate
+# halvings of a Newton step; doublings of the gradient step's curvature estimate
 _NEWTON_BACKTRACKS = 12
-_FISTA_BACKTRACKS = 60
+_GRADIENT_BACKTRACKS = 60
+# KKT gap at which mle_reconstruct stops, relative to the total coincidence count
+_MLE_TOL = 1e-9
 # Relative resolution of the NLL in the descent tests: near the optimum the
 # decrease a step can make falls below the rounding of the NLL, and a test
 # that demanded it would stop the loop short of its gap tolerance.
@@ -478,23 +479,22 @@ def mle_reconstruct(
     record: TomographyRecord,
     init: DensityMatrix4 | None = None,
     max_iters: int = 1000,
-    tol: float = 1e-9,
 ) -> MleResult:
     """Maximum-likelihood state estimate over the density matrices.
 
     Maximizes the Poisson log-likelihood of the coincidence counts with the
     per-setting accidental estimate as a known background.  The signal
     scale is estimated from the record totals.  Each iteration takes one
-    FISTA step (accelerated projected gradient; its curvature estimate is
-    halved, then doubled until the step passes the sufficient-decrease
-    test; momentum restarts when the NLL rises; the projection is an
-    eigendecomposition whose eigenvalues are projected onto the simplex),
-    then one Newton step at the rank of the iterate.  The loop stops once the KKT gap
-    Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k the
-    gradient, is at most ``tol`` times the total coincidence count (at
-    least 1); the gap
-    bounds how far the likelihood is from its maximum.  Non-convergence
-    returns the last iterate with ``converged`` False and a warning.
+    projected-gradient step from rho (its curvature estimate is halved,
+    then doubled until the step passes the sufficient-decrease test; the
+    projection is an eigendecomposition whose eigenvalues are projected
+    onto the simplex), then one Newton step at the rank of the iterate.
+    The loop stops when the gradient step makes no descent, or once the
+    KKT gap Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k
+    the gradient, is at most 1e-9 times the total coincidence count (at
+    least 1); the gap bounds how far the likelihood is from its maximum.
+    Non-convergence returns the last iterate with ``converged`` False and a
+    warning.
 
     Parameters
     ----------
@@ -503,8 +503,6 @@ def mle_reconstruct(
         Starting point, projected onto the density matrices; defaults to
         the linear inversion.
     max_iters : int
-    tol : float
-        KKT gap tolerance, relative to the total coincidence count.
     """
     background = record.accidentals()
     counts = record.coincidences
@@ -522,46 +520,31 @@ def mle_reconstruct(
     if gmat is None:  # a setting with counts has no expected counts: mix in I/4
         rho = 0.99 * rho + 0.0025 * np.eye(4)
         nll, gmat = _nll_grad(rho, *args)
-    tol_abs = tol * max(counts.sum(), 1.0)  # a record without counts is optimal anywhere
+    tol_abs = _MLE_TOL * max(counts.sum(), 1.0)  # a record without counts is optimal anywhere
     lipschitz = scale
-    ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
     gap = _kkt_gap(rho, gmat)
     iterations = 0
     while iterations < max_iters:
         iterations += 1
         slack = _NLL_RESOLUTION * (1.0 + nll)
         lipschitz *= 0.5  # the step may grow again once past a steep region
-        for _ in range(_FISTA_BACKTRACKS):
-            new, new_evals, new_evecs = _project(ahead - gmat_ahead / lipschitz)
+        for _ in range(_GRADIENT_BACKTRACKS):
+            new, evals, evecs = _project(rho - gmat / lipschitz)
             new_nll, new_gmat = _nll_grad(new, *args)
-            diff = new - ahead
-            if new_nll <= (nll_ahead + np.vdot(gmat_ahead, diff).real
+            diff = new - rho
+            if new_nll <= (nll + np.vdot(gmat, diff).real
                            + 0.5 * lipschitz * np.vdot(diff, diff).real + slack):
                 break
             lipschitz *= 2.0
-        if not new_nll <= nll + slack:
-            if ahead is rho:  # no descent even without momentum
-                break
-            ahead, nll_ahead, gmat_ahead, momentum = rho, nll, gmat, 1.0
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
-        beta = (momentum - 1.0) / next_momentum
-        previous = rho
-        rho, evals, evecs, nll, gmat = new, new_evals, new_evecs, new_nll, new_gmat
-        momentum = next_momentum
+        if not new_nll <= nll + slack:  # no descent
+            break
+        rho, nll, gmat = new, new_nll, new_gmat
         newton = _newton_step(rho, evals, evecs, gmat, nll, *args)
         if newton is not None:
             rho, nll, gmat = newton
-            beta, momentum = 0.0, 1.0
         gap = _kkt_gap(rho, gmat)
         if gap <= tol_abs:
             break
-        ahead, nll_ahead, gmat_ahead = rho, nll, gmat
-        if beta > 0:
-            extrapolated = rho + beta * (rho - previous)
-            nll_x, gmat_x = _nll_grad(extrapolated, *args)
-            if gmat_x is not None:
-                ahead, nll_ahead, gmat_ahead = extrapolated, nll_x, gmat_x
     converged = bool(gap <= tol_abs)
     if not converged:
         warnings.warn(

@@ -68,16 +68,16 @@ class ConvergenceRow:
     residual: float
 
 
-def _diff(f: np.ndarray, spacing: float, order: int = STENCIL_ORDER) -> np.ndarray:
-    """Central differences along axis 0, narrowing the stencil toward the
-    edges and finishing with one-sided second-order differences at the
-    boundary rows themselves."""
+def _diff(f: np.ndarray, spacing: float) -> np.ndarray:
+    """Central differences of STENCIL_ORDER along axis 0, narrowing the
+    stencil toward the edges and finishing with one-sided second-order
+    differences at the boundary rows themselves."""
     n = f.shape[0]
-    half = order // 2
+    half = STENCIL_ORDER // 2
     if n < 2 * half + 1:
-        raise ValueError(f"grid too small for stencil order {order}")
+        raise ValueError(f"grid too small for stencil order {STENCIL_ORDER}")
     out = np.empty_like(f)
-    weights = np.asarray(_CENTRAL_WEIGHTS[order])
+    weights = np.asarray(_CENTRAL_WEIGHTS[STENCIL_ORDER])
     stencil = np.concatenate([-weights[::-1], [0.0], weights])
     np.einsum(
         "i...k,k->i...", sliding_window_view(f, 2 * half + 1, axis=0),
@@ -167,7 +167,7 @@ def _integrated_result(density: np.ndarray, grid: GridSpec,
     )
 
 
-def skyrmion_number(field: UnitVectorField, grid: GridSpec | None = None) -> SkyrmionResult:
+def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     """Skyrmion number of a unit-vector texture by grid quadrature.
 
     Trapezoidal integral of :func:`skyrmion_density` over the window,
@@ -175,8 +175,6 @@ def skyrmion_number(field: UnitVectorField, grid: GridSpec | None = None) -> Sky
     exactly 0: the texture has contracted to a point and carries no
     topology.  Poor convergence shows up in ``residual``; nothing raises.
     """
-    if grid is not None and grid != field.grid:
-        raise ValueError("grid does not match the field's grid")
     grid = field.grid
     masked_fraction = field.masked_fraction
     if field.collapsed or masked_fraction == 1.0:
@@ -265,13 +263,12 @@ def suggested_grid(
     samples: int = 256,
     *,
     waist: float = 1.0,
-    tail_budget: float = _TAIL_BUDGET,
 ) -> GridSpec:
     """Grid whose window truncates the texture's polynomial tail safely.
 
     The texture approaches its asymptotic pole only polynomially, at a rate
     set by ||ell2| - |ell1||; this picks the half-width at which the
-    estimated missing winding mass drops below ``tail_budget`` (clamped to
+    estimated missing winding mass drops below ``_TAIL_BUDGET`` (clamped to
     [5w, 24w]: below 5w the envelopes are not contained, beyond ~27w the
     envelope itself underflows double precision, so larger windows only
     cost resolution).
@@ -284,7 +281,7 @@ def suggested_grid(
     chat = math.sqrt(math.factorial(la1) / math.factorial(la2))
     if da < 0:
         chat, da = 1.0 / chat, -da
-    g_needed = math.sqrt(dl / tail_budget)
+    g_needed = math.sqrt(dl / _TAIL_BUDGET)
     half_width = (waist / math.sqrt(2.0)) * (g_needed / chat) ** (1.0 / da)
     half_width = min(max(half_width, _MIN_HALF_WIDTH * waist), _MAX_HALF_WIDTH * waist)
     return GridSpec(half_width, samples)

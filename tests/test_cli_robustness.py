@@ -74,10 +74,21 @@ def test_directory_as_config_exits_1_without_traceback(tmp_path):
 
 
 def test_charge_beyond_float_range_loads_as_an_integer(tmp_path):
-    # the state's finiteness check once converted it to float and overflowed
+    # the state's finiteness check once converted it to float and overflowed;
+    # the charge is parsed as an integer and rejected at its line
     path = tmp_path / "big.cfg"
     path.write_text(f"ell1 = 0\nell2 = {'9' * 400}\nvalues = 1\n")
-    assert load_config(path).state.ell2 == int("9" * 400)
+    with pytest.raises(ConfigError, match=r"line 2: \|ell\| = "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf"])
+@pytest.mark.parametrize("flag", ["--pair-rate", "--window", "--duration"])
+def test_tomo_rejects_rates_not_positive_and_finite(capsys, flag, value):
+    assert main(["tomo", "--ell1", "0", "--ell2", "1", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"error: {flag} must be positive and finite"
+    assert "Traceback" not in err
 
 
 # --- fuzzing ----------------------------------------------------------------
@@ -193,6 +204,14 @@ def test_charge_beyond_envelope_limit_exits_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: |ell| = ") and f"exceeds {MAX_CHARGE}" in err
+
+
+def test_gallery_charge_beyond_envelope_limit_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["gallery", "--state", "0,1", "--state", "0,200", "--samples", "16", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: |ell| = ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ell", ["171", "-200", "9" * 400], ids=["171", "-200", "400-digits"])
