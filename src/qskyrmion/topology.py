@@ -214,20 +214,34 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     for p in weights:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
-    raw = stokes_field(rho, coeffs)
+    field, norm = _channel_texture(rho, coeffs)
+    return _channel_results(skyrmion_density(field), field.mask, norm, field.grid, weights)
+
+
+def _channel_texture(rho, coeffs: CoeffField) -> tuple[UnitVectorField, np.ndarray]:
+    """The unit texture of ``rho`` and its Stokes vector norm |S|.
+
+    The channel output at weight p has the same unit texture with the
+    degenerate set ``_channel_degenerate(field.mask, norm, p)``.
+    """
+    raw = stokes_field(rho, coeffs)  # the (n, n, 4) Stokes array is dropped on return
     norm = raw.vector_norm()
-    field = normalize_stokes(raw)
-    del raw  # the (n, n, 4) Stokes array is not needed past this point
-    return _channel_results(skyrmion_density(field), np.count_nonzero(field.mask),
-                            norm, coeffs.mask, coeffs.grid, weights)
+    return normalize_stokes(raw), norm
 
 
-def _channel_results(density, base_count, norm, mask, grid, weights) -> Iterator[SkyrmionResult]:
-    # base_count points are degenerate at p = 1, and density has their stencil
-    # footprint zeroed; the set only grows as p falls, so one of that size is it
+def _channel_degenerate(mask, norm, p: float) -> np.ndarray:
+    """Degenerate points at weight p of a texture whose p = 1 degenerate set is
+    ``mask``: (p |S| < DEGENERACY_EPS) | mask."""
+    return (p * norm < DEGENERACY_EPS) | mask
+
+
+def _channel_results(density, mask, norm, grid, weights) -> Iterator[SkyrmionResult]:
+    # mask is degenerate at p = 1, and density has its stencil footprint
+    # zeroed; the set only grows as p falls, so one of that size is it
+    base_count = np.count_nonzero(mask)
     base = None
     for p in weights:
-        degenerate = (p * norm < DEGENERACY_EPS) | mask
+        degenerate = _channel_degenerate(mask, norm, p)
         count = np.count_nonzero(degenerate)
         masked_fraction = count / degenerate.size
         if masked_fraction == 1.0:

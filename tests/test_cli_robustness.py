@@ -91,6 +91,21 @@ def test_tomo_rejects_rates_not_positive_and_finite(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["skyrmion", "--ell1", "0", "--ell2", "1", "--samples", "16"],
+    ["gallery", "--state", "0,1", "--samples", "16"],
+    ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "16"],
+], ids=["skyrmion", "gallery", "converge"])
+def test_waist_not_positive_and_finite_is_rejected(tmp_path, capsys, argv, value):
+    out = tmp_path / "d"
+    extra = ["--out", str(out)] if argv[0] == "gallery" else []
+    assert main([*argv, f"--waist={value}", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: --waist must be positive and finite"
+    assert not out.exists()
+
+
 # --- fuzzing ----------------------------------------------------------------
 
 NUMBERS = st.one_of(
