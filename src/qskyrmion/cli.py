@@ -36,12 +36,10 @@ from .tomography import (
     witness_report,
 )
 from .topology import (
-    _channel_degenerate,
-    _channel_results,
-    _channel_texture,
+    _channel_outputs,
     _window_grid,
     channel_skyrmion_numbers,
-    skyrmion_density,
+    convergence_scan,
     skyrmion_number,
     suggested_grid,
     texture_for_state,
@@ -184,15 +182,15 @@ def load_config(path) -> SweepConfig:
         raise ConfigError("give either 'values' or 'start'/'stop'/'step', not both",
                           entries["values"][1])
     if has_values:
-        raw, lineno = entries["values"]
+        raw, points_line = entries["values"]
         try:
             points = [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
-            raise ConfigError(f"cannot parse values list {raw!r}", lineno) from None
+            raise ConfigError(f"cannot parse values list {raw!r}", points_line) from None
         if not points:
-            raise ConfigError("values list is empty", lineno)
+            raise ConfigError("values list is empty", points_line)
         if not all(math.isfinite(v) for v in points):
-            raise ConfigError(f"values must be finite, got {raw!r}", lineno)
+            raise ConfigError(f"values must be finite, got {raw!r}", points_line)
     elif has_range:
         for k in ("start", "stop", "step"):
             if k not in entries:
@@ -200,24 +198,24 @@ def load_config(path) -> SweepConfig:
         start = take("start", float)
         stop = take("stop", float)
         step = take("step", float)
+        points_line = entries["step"][1]  # where a range's generated points are reported
         if step == 0:
-            raise ConfigError("step must be nonzero", entries["step"][1])
+            raise ConfigError("step must be nonzero", points_line)
         steps = (stop - start) / step  # inf when the quotient overflows
         if steps < 0:
-            raise ConfigError("step direction does not reach stop from start",
-                              entries["step"][1])
+            raise ConfigError("step direction does not reach stop from start", points_line)
         if steps > MAX_SWEEP_POINTS or round(steps) + 1 > MAX_SWEEP_POINTS:
             raise ConfigError(f"range sweep has more than {MAX_SWEEP_POINTS} points",
-                              entries["step"][1])
+                              points_line)
         points = [start + i * step for i in range(round(steps) + 1)]
     else:
         raise ConfigError("sweep needs 'values' or 'start'/'stop'/'step'")
 
     for v in points:
         if sweep_var == "p" and not 0.0 <= v <= 1.0:
-            raise ConfigError(f"sweep value p={v} outside [0, 1]")
+            raise ConfigError(f"sweep value p={v} outside [0, 1]", points_line)
         if sweep_var == "qc" and v < 1.0:
-            raise ConfigError(f"sweep value qc={v} below 1")
+            raise ConfigError(f"sweep value qc={v} below 1", points_line)
 
     pipeline = take("pipeline", str, DEFAULTS["pipeline"]).lower()
     if pipeline not in ("analytic", "tomographic"):
@@ -249,7 +247,7 @@ def load_config(path) -> SweepConfig:
         out_dir=take("out", str, None),
     )
     if cfg.samples < 16:
-        raise ConfigError("samples must be at least 16")
+        raise ConfigError("samples must be at least 16", entries["samples"][1])
     for key in ("waist", "pair_rate", "window", "duration"):
         if getattr(cfg, key) <= 0:  # defaults are positive, so the key was given
             raise ConfigError(f"{key} must be positive", entries[key][1])
@@ -286,13 +284,6 @@ def _write_grid_csv(targets, columns: str, grid, values) -> None:
     axis, so each is formatted once and spliced into the row templates as
     text; only ``values`` go through ``%.12g``, one block of whole grid rows
     at a time, and each block is formatted once for all targets.
-
-    The gallery's noisy texture is its clean texture with the degenerate set
-    grown, so while that set is unchanged one call writes both files.  They
-    are byte-identical to the per-weight chain's at p = 0.5 and p = 0; at
-    other p a noisy file may differ from it in the 12th significant digit
-    on a few rows.  The benchmark's ``gallery_write`` operation fell from a
-    median of 136 to 70 ms on a 2-vCPU machine.
     """
     n = grid.samples_per_axis
     values = np.asarray(values, dtype=float).reshape(n, n, -1)
@@ -414,18 +405,12 @@ def run_topology_gallery(
     is set, the normalized textures (x, y, S1, S2, S3) and a summary table
     are written there.
 
-    Isotropic noise only scales (S1, S2, S3) by p, so each state's texture
-    and density are built once, at p = 1, and both numbers come from
-    :func:`channel_skyrmion_numbers`' machinery.  The noisy texture is the
-    clean one with its degenerate set grown to p |S| < DEGENERACY_EPS; while
-    that set is unchanged both files share one formatted body.  At p = 0.5
-    and p = 0 the files are byte-identical to those of the per-weight chain
-    ``texture_for_state(spec, p, grid)``; at other p a noisy file may differ
-    from that chain in the 12th significant digit on a few rows, the
-    rounding of its mixed state.  On a 2-vCPU machine the benchmark's
-    ``gallery_write`` operation (two states at 128^2, four texture files)
-    takes a median of 70 ms, against 136 ms when each texture was built and
-    formatted twice.
+    Isotropic noise only scales (S1, S2, S3) by p, so both textures and
+    numbers of a state come from one p = 1 texture and density
+    (:func:`~qskyrmion.topology._channel_outputs`).  While the noisy
+    texture is the clean one, both files share one formatted body;
+    otherwise the noisy file has its own body with the grown degenerate set
+    zeroed.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -436,9 +421,8 @@ def run_topology_gallery(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     for spec, grid in zip(specs, grids):
-        field, norm = _channel_texture(pure_state(spec), coeff_field(spec, grid, waist=waist))
-        clean, noisy = _channel_results(skyrmion_density(field), field.mask, norm, grid,
-                                        [1.0, p])
+        (clean_tex, clean), (noisy_tex, noisy) = _channel_outputs(
+            pure_state(spec), coeff_field(spec, grid, waist=waist), [1.0, p])
         if out is not None:
             targets = [(out / f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv", [
                 f"# state = ({spec.ell1}, {spec.ell2}, delta={_fmt(spec.delta)})",
@@ -446,14 +430,11 @@ def run_topology_gallery(
                 f"# skyrmion_number = {_fmt(res.number)}",
                 f"# half_width = {_fmt(grid.half_width)}",
             ]) for tag, weight, res in (("clean", 1.0, clean), ("noisy", p, noisy))]
-            # the degenerate set only grows as p falls: equal fractions mean equal sets
-            if noisy.masked_fraction == clean.masked_fraction:
-                _write_grid_csv(targets, "x,y,s1,s2,s3", grid, field.vectors)
+            if noisy_tex is clean_tex:
+                _write_grid_csv(targets, "x,y,s1,s2,s3", grid, clean_tex.vectors)
             else:
-                _write_grid_csv(targets[:1], "x,y,s1,s2,s3", grid, field.vectors)
-                degenerate = _channel_degenerate(field.mask, norm, p)[..., None]
-                _write_grid_csv(targets[1:], "x,y,s1,s2,s3", grid,
-                                np.where(degenerate, 0.0, field.vectors))
+                for target, texture in zip(targets, (clean_tex, noisy_tex)):
+                    _write_grid_csv([target], "x,y,s1,s2,s3", grid, texture.vectors)
         rows.append(GalleryRow(
             state=spec,
             number_clean=clean.number,
@@ -461,6 +442,7 @@ def run_topology_gallery(
             residual_clean=clean.residual,
             residual_noisy=noisy.residual,
         ))
+        del clean_tex, noisy_tex  # not held while the next state's density is built
     if out is not None:
         _write_csv(out / "gallery.csv", [f"# p = {_fmt(p)}"],
                    "ell1,ell2,delta,n_clean,n_noisy,residual_clean,residual_noisy,matched",
@@ -482,8 +464,6 @@ def run_convergence(
     out=None,
 ):
     """Convergence table across resolutions, optionally persisted as CSV."""
-    from .topology import convergence_scan
-
     rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
     if out is not None:
         _write_csv(out, [

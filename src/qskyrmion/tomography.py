@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, pure_state, purity
+from .stokesfield import _PAULI
 
 QC_CAP = 1e12
 
@@ -34,13 +35,6 @@ _BASIS_STATES = {
     ("y", -1): np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
 }
 _BASIS_ORDER = [("z", +1), ("z", -1), ("x", +1), ("x", -1), ("y", +1), ("y", -1)]
-
-_PAULI = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
 
 
 @dataclass(frozen=True)

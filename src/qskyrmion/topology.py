@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -189,12 +189,11 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     (S1, S2, S3) of p rho + (1 - p) I/4 is exactly p times that of ``rho``.
     The unit texture is therefore the same at every p > 0; only the
     degenerate set p |S| < DEGENERACY_EPS grows as p falls.  The texture and
-    its density are built once, here.  Each weight then zeroes the stencil
-    footprint of its own mask in a copy of that density and integrates it as
-    :func:`skyrmion_number` does, including the exact N = 0 of a fully masked
-    texture at p = 0.  The numbers match the per-point chain
-    ``skyrmion_number(normalize_stokes(stokes_field(apply_isotropic_noise(
-    rho, p), coeffs)))`` up to the rounding of that chain's mixed state.
+    its density are built once, here (:func:`_channel_outputs`).  The numbers
+    match the per-point chain ``skyrmion_number(normalize_stokes(
+    stokes_field(apply_isotropic_noise(rho, p), coeffs)))`` up to the
+    rounding of that chain's mixed state, including the exact N = 0 of a
+    fully masked texture at p = 0.
 
     Parameters
     ----------
@@ -208,52 +207,58 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     -------
     iterator of SkyrmionResult
         One per weight, in the order given, each built only when it is
-        requested.
+        requested.  Every weight whose degenerate set is that of p = 1
+        gets the same result, whose density is read-only.
+    """
+    return (result for _, result in _channel_outputs(rho, coeffs, weights))
+
+
+def _channel_outputs(rho, coeffs: CoeffField,
+                     weights) -> Iterator[tuple[UnitVectorField, SkyrmionResult]]:
+    """The unit texture and Skyrmion number of each channel output of ``rho``.
+
+    The weights are checked and the p = 1 texture, its norm |S| and its
+    density are built on the call; each (texture, result) pair is built when
+    it is requested.  While a weight's degenerate set is that of p = 1, the
+    pair is the p = 1 texture itself and one shared result with a read-only
+    density.  A grown set gets a texture with that set zeroed and the p = 1
+    density with the set's stencil footprint zeroed, integrated as
+    :func:`skyrmion_number` does; a fully masked one gets a read-only zero
+    texture and the collapsed N = 0.
     """
     weights = [float(p) for p in weights]
     for p in weights:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
-    field, norm = _channel_texture(rho, coeffs)
-    return _channel_results(skyrmion_density(field), field.mask, norm, field.grid, weights)
+    raw = stokes_field(rho, coeffs)
+    norm, field = raw.vector_norm(), normalize_stokes(raw)
+    del raw  # the (n, n, 4) Stokes array is not held through the density's temporaries
+    density = skyrmion_density(field)
+    density.flags.writeable = False
+    grid, size = field.grid, field.mask.size
+    base_count = np.count_nonzero(field.mask)
 
+    def outputs():
+        shared = None
+        for p in weights:
+            degenerate = (p * norm < DEGENERACY_EPS) | field.mask
+            count = np.count_nonzero(degenerate)
+            if count == size:
+                zero = np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
+                yield (UnitVectorField(zero, degenerate, grid, collapsed=True),
+                       _collapsed_result(grid))
+            elif count == base_count:  # the set only grows as p falls: it is p = 1's
+                if shared is None:
+                    shared = _integrated_result(density, grid, count / size)
+                yield field, shared
+            else:
+                masked = density.copy()
+                masked[_stencil_footprint(degenerate)] = 0.0
+                yield (UnitVectorField(np.where(degenerate[..., None], 0.0, field.vectors),
+                                       degenerate, grid),
+                       _integrated_result(masked, grid, count / size))
 
-def _channel_texture(rho, coeffs: CoeffField) -> tuple[UnitVectorField, np.ndarray]:
-    """The unit texture of ``rho`` and its Stokes vector norm |S|.
-
-    The channel output at weight p has the same unit texture with the
-    degenerate set ``_channel_degenerate(field.mask, norm, p)``.
-    """
-    raw = stokes_field(rho, coeffs)  # the (n, n, 4) Stokes array is dropped on return
-    norm = raw.vector_norm()
-    return normalize_stokes(raw), norm
-
-
-def _channel_degenerate(mask, norm, p: float) -> np.ndarray:
-    """Degenerate points at weight p of a texture whose p = 1 degenerate set is
-    ``mask``: (p |S| < DEGENERACY_EPS) | mask."""
-    return (p * norm < DEGENERACY_EPS) | mask
-
-
-def _channel_results(density, mask, norm, grid, weights) -> Iterator[SkyrmionResult]:
-    # mask is degenerate at p = 1, and density has its stencil footprint
-    # zeroed; the set only grows as p falls, so one of that size is it
-    base_count = np.count_nonzero(mask)
-    base = None
-    for p in weights:
-        degenerate = _channel_degenerate(mask, norm, p)
-        count = np.count_nonzero(degenerate)
-        masked_fraction = count / degenerate.size
-        if masked_fraction == 1.0:
-            yield _collapsed_result(grid)
-        elif count == base_count:
-            if base is None:
-                base = _integrated_result(density, grid, masked_fraction)
-            yield replace(base, density=density.copy())
-        else:
-            masked = density.copy()
-            masked[_stencil_footprint(degenerate)] = 0.0
-            yield _integrated_result(masked, grid, masked_fraction)
+    return outputs()
 
 
 def skyrmion_number_analytic(spec: HybridStateSpec) -> int:

@@ -92,20 +92,25 @@ def test_unordered_and_repeated_weights():
     assert rows[0] == rows[3] and rows[1] == rows[5] and rows[2] == rows[6]
 
 
-def test_results_are_yielded_in_order_with_their_own_density():
+def test_results_are_yielded_in_order_sharing_the_p1_density():
     spec = HybridStateSpec(0, -2, 0.4)
     coeffs = coeff_field(spec, suggested_grid(spec, 64))
     weights = [0.5, 1.0, 0.0, 1e-3]
-    results = list(channel_skyrmion_numbers(pure_state(spec), coeffs, weights))
+    *results, grown = channel_skyrmion_numbers(pure_state(spec), coeffs,
+                                               weights + [DEGENERACY_EPS])
     for result, p in zip(results, weights):
         ref = per_point(spec, coeffs, p)
         assert_same_number(result.number, result.residual, result.masked_fraction, ref)
         assert abs(result.density - ref.density).max() <= 1e-12 * abs(ref.density).max(
             initial=1.0)
         assert result.grid == coeffs.grid
-    assert len({id(r.density) for r in results}) == len(results)
-    results[0].density[:] = 1.0
-    assert results[1].density.max() < 1.0
+    # weights that mask nothing beyond p = 1 share its read-only density
+    assert results[0].density is results[1].density is results[3].density
+    with pytest.raises(ValueError):
+        results[0].density[:] = 1.0
+    # at p = DEGENERACY_EPS the set grows, and its density is an array of its own
+    assert grown.masked_fraction > results[1].masked_fraction
+    assert not np.shares_memory(grown.density, results[1].density)
 
 
 def test_texture_is_exactly_unchanged_above_the_degeneracy_threshold():

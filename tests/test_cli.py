@@ -97,6 +97,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="direction"):
             load_config(path)
 
+    @pytest.mark.parametrize("sweep,expected", [
+        ("values = 0.5, 1.5\n", "line 3: sweep value p=1.5 outside"),
+        ("sweep = qc\nvalues = 2, 0.5\n", "line 4: sweep value qc=0.5 below 1"),
+        # the range's points are reported on its step line
+        ("start = 1.5\nstop = 0\nstep = -0.5\n", "line 5: sweep value p=1.5 outside"),
+        # stop lies inside [0, 1], but 1.7 steps round to 2: 0.9, 0.4, -0.1
+        ("step = -0.5\nstart = 0.9\nstop = 0.05\n",
+         r"line 3: sweep value p=-0\.0999+\d* outside"),
+    ])
+    def test_out_of_range_sweep_value_reports_line(self, tmp_path, capsys, sweep, expected):
+        path = write_cfg(tmp_path, "ell1 = 0\nell2 = 1\n" + sweep)
+        with pytest.raises(ConfigError, match=expected):
+            load_config(path)
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + expected.split(":")[0] + ":")
+
+    def test_too_few_samples_reports_line(self, tmp_path):
+        path = write_cfg(tmp_path, "ell1 = 0\nell2 = 1\nsamples = 8\nvalues = 0.5\n")
+        with pytest.raises(ConfigError, match="line 3: samples must be at least 16"):
+            load_config(path)
+
 
 # one config per key whose line carries a non-finite number; unchecked, some
 # of them run to a result and others fail later without a line number

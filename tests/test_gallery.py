@@ -3,14 +3,26 @@
 Isotropic noise scales (S1, S2, S3) by p, so the unit texture at weight p is
 that of p = 1 with a degenerate set that can only grow.  The gallery builds
 each state's texture once and writes the noisy file from it: byte for byte
-the clean body while the set is unchanged, all zeros once the texture
-collapses.
+the clean body while the set is unchanged, the clean body with the grown
+set zeroed while it grows, all zeros once the texture collapses.
 """
 
 import numpy as np
 import pytest
 
-from qskyrmion import GridSpec, HybridStateSpec, lgmodes, stokesfield, topology
+from qskyrmion import (
+    GridSpec,
+    HybridStateSpec,
+    UnitVectorField,
+    coeff_field,
+    lgmodes,
+    normalize_stokes,
+    pure_state,
+    skyrmion_number,
+    stokes_field,
+    stokesfield,
+    topology,
+)
 from qskyrmion import cli
 from qskyrmion.cli import _write_grid_csv, run_topology_gallery
 
@@ -74,6 +86,35 @@ def test_collapsed_noisy_texture_is_all_zero(tmp_path, p):
         assert body[1:] == [f"{xi},{yj},0,0,0\n" for xi in x for yj in x]
     table = (tmp_path / "gallery.csv").read_text().splitlines()[2:]
     assert [line.split(",")[4] for line in table] == ["0", "0"]
+
+
+def test_partly_grown_noisy_texture_zeroes_only_the_new_points(tmp_path):
+    # at p = DEGENERACY_EPS a pure state's |S| = 1 sits on the threshold, so
+    # rounding masks part of the texture (at 32^2, 12 % -> 57 %, 0 -> 46 %
+    # and 0 -> 55 % of the points)
+    specs = [HybridStateSpec(0, 1), *SPECS]
+    p = stokesfield.DEGENERACY_EPS
+    rows = run_topology_gallery(specs, p, samples=32, out_dir=tmp_path)
+    for spec, row in zip(specs, rows):
+        coeffs = coeff_field(spec, topology.suggested_grid(spec, 32))
+        raw = stokes_field(pure_state(spec), coeffs)
+        clean = normalize_stokes(raw)
+        mask = (p * raw.vector_norm() < stokesfield.DEGENERACY_EPS) | clean.mask
+        grown = (mask & ~clean.mask).ravel()
+        assert 0 < grown.sum() and not mask.all()
+        stem = tmp_path / f"texture_{spec.ell1}_{spec.ell2}"
+        _, clean_body = read_texture(stem.with_name(stem.name + "_clean.csv"))
+        _, noisy_body = read_texture(stem.with_name(stem.name + "_noisy.csv"))
+        assert len(noisy_body) == len(clean_body) == grown.size + 1
+        assert noisy_body[0] == clean_body[0]
+        for new, clean_row, noisy_row in zip(grown, clean_body[1:], noisy_body[1:]):
+            if new:
+                assert noisy_row == ",".join(clean_row.split(",")[:2] + ["0,0,0\n"])
+            else:
+                assert noisy_row == clean_row
+        vectors = np.where(mask[..., None], 0.0, clean.vectors)
+        ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid))
+        assert (row.number_noisy, row.residual_noisy) == (ref.number, ref.residual)
 
 
 def test_multi_target_writer_shares_one_body(tmp_path, monkeypatch):
