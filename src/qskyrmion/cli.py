@@ -204,10 +204,12 @@ def load_config(path) -> SweepConfig:
         steps = (stop - start) / step  # inf when the quotient overflows
         if steps < 0:
             raise ConfigError("step direction does not reach stop from start", points_line)
-        if steps > MAX_SWEEP_POINTS or round(steps) + 1 > MAX_SWEEP_POINTS:
+        # the last point never passes stop; 1e-9 of a step forgives rounding short of it
+        count = math.floor(min(steps, MAX_SWEEP_POINTS) + 1e-9) + 1
+        if count > MAX_SWEEP_POINTS:
             raise ConfigError(f"range sweep has more than {MAX_SWEEP_POINTS} points",
                               points_line)
-        points = [start + i * step for i in range(round(steps) + 1)]
+        points = [start + i * step for i in range(count)]
     else:
         raise ConfigError("sweep needs 'values' or 'start'/'stop'/'step'")
 

@@ -187,6 +187,8 @@ def coeff_field(
     -------
     CoeffField
     """
+    if not (math.isfinite(waist) and waist > 0):
+        raise ValueError(f"waist must be positive and finite, got {waist}")
     r, phi = grid.polar()
     l1 = _log_envelope(r, state.ell1, waist)
     l2 = _log_envelope(r, state.ell2, waist)

@@ -145,28 +145,6 @@ def _stencil_footprint(mask: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _collapsed_result(grid: GridSpec) -> SkyrmionResult:
-    """Exactly N = 0 for a fully masked texture, contracted to a point."""
-    n = grid.samples_per_axis
-    return SkyrmionResult(
-        number=0.0, density=np.zeros((n, n)), rounded=0, residual=0.0,
-        grid=grid, masked_fraction=1.0,
-    )
-
-
-def _integrated_result(density: np.ndarray, grid: GridSpec,
-                       masked_fraction: float) -> SkyrmionResult:
-    """Trapezoidal integral of ``density`` over the window, divided by 4*pi."""
-    h = grid.spacing
-    total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
-    number = float(total / (4.0 * math.pi))
-    rounded = int(round(number))
-    return SkyrmionResult(
-        number=number, density=density, rounded=rounded,
-        residual=abs(number - rounded), grid=grid, masked_fraction=masked_fraction,
-    )
-
-
 def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     """Skyrmion number of a unit-vector texture by grid quadrature.
 
@@ -178,8 +156,18 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     grid = field.grid
     masked_fraction = field.masked_fraction
     if field.collapsed or masked_fraction == 1.0:
-        return _collapsed_result(grid)
-    return _integrated_result(skyrmion_density(field), grid, masked_fraction)
+        n = grid.samples_per_axis
+        number, density, masked_fraction = 0.0, np.zeros((n, n)), 1.0
+    else:
+        density = skyrmion_density(field)
+        h = grid.spacing
+        total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
+        number = float(total / (4.0 * math.pi))
+    rounded = int(round(number))
+    return SkyrmionResult(
+        number=number, density=density, rounded=rounded,
+        residual=abs(number - rounded), grid=grid, masked_fraction=masked_fraction,
+    )
 
 
 def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[SkyrmionResult]:
@@ -208,7 +196,8 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     iterator of SkyrmionResult
         One per weight, in the order given, each built only when it is
         requested.  Every weight whose degenerate set is that of p = 1
-        gets the same result, whose density is read-only.
+        gets the same result, whose density is read-only; any other weight
+        gets :func:`skyrmion_number` of its own masked texture.
     """
     return (result for _, result in _channel_outputs(rho, coeffs, weights))
 
@@ -218,13 +207,12 @@ def _channel_outputs(rho, coeffs: CoeffField,
     """The unit texture and Skyrmion number of each channel output of ``rho``.
 
     The weights are checked and the p = 1 texture, its norm |S| and its
-    density are built on the call; each (texture, result) pair is built when
-    it is requested.  While a weight's degenerate set is that of p = 1, the
-    pair is the p = 1 texture itself and one shared result with a read-only
-    density.  A grown set gets a texture with that set zeroed and the p = 1
-    density with the set's stencil footprint zeroed, integrated as
-    :func:`skyrmion_number` does; a fully masked one gets a read-only zero
-    texture and the collapsed N = 0.
+    :func:`skyrmion_number` (density made read-only) are built on the call;
+    each (texture, result) pair is built when it is requested.  While a
+    weight's degenerate set is that of p = 1, the pair is the p = 1 texture
+    and result themselves.  Any other weight gets a texture with its set
+    zeroed (a read-only zero view once every point is masked) and
+    :func:`skyrmion_number` of that texture.
     """
     weights = [float(p) for p in weights]
     for p in weights:
@@ -233,30 +221,21 @@ def _channel_outputs(rho, coeffs: CoeffField,
     raw = stokes_field(rho, coeffs)
     norm, field = raw.vector_norm(), normalize_stokes(raw)
     del raw  # the (n, n, 4) Stokes array is not held through the density's temporaries
-    density = skyrmion_density(field)
-    density.flags.writeable = False
-    grid, size = field.grid, field.mask.size
+    result = skyrmion_number(field)
+    result.density.flags.writeable = False
     base_count = np.count_nonzero(field.mask)
 
     def outputs():
-        shared = None
         for p in weights:
             degenerate = (p * norm < DEGENERACY_EPS) | field.mask
-            count = np.count_nonzero(degenerate)
-            if count == size:
-                zero = np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
-                yield (UnitVectorField(zero, degenerate, grid, collapsed=True),
-                       _collapsed_result(grid))
-            elif count == base_count:  # the set only grows as p falls: it is p = 1's
-                if shared is None:
-                    shared = _integrated_result(density, grid, count / size)
-                yield field, shared
-            else:
-                masked = density.copy()
-                masked[_stencil_footprint(degenerate)] = 0.0
-                yield (UnitVectorField(np.where(degenerate[..., None], 0.0, field.vectors),
-                                       degenerate, grid),
-                       _integrated_result(masked, grid, count / size))
+            if np.count_nonzero(degenerate) == base_count:  # sets only grow as p falls: p = 1's
+                yield field, result
+                continue
+            collapsed = bool(degenerate.all())
+            vectors = (np.broadcast_to(0.0, field.vectors.shape) if collapsed  # read-only, no memory
+                       else np.where(degenerate[..., None], 0.0, field.vectors))
+            masked = UnitVectorField(vectors, degenerate, field.grid, collapsed=collapsed)
+            yield masked, skyrmion_number(masked)
 
     return outputs()
 

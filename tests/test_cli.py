@@ -97,13 +97,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="direction"):
             load_config(path)
 
+    def test_range_never_passes_stop(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, "ell1=0\nell2=1\nstart=1\nstop=0.2\nstep=-0.5\n"))
+        assert cfg.points == [1.0, 0.5]
+        # a stop the steps reach only up to rounding is still swept: 0.3 / 0.1 < 3
+        cfg = load_config(write_cfg(tmp_path, "ell1=0\nell2=1\nstart=0\nstop=0.3\nstep=0.1\n"))
+        assert cfg.points == pytest.approx([0.0, 0.1, 0.2, 0.3])
+        cfg = load_config(write_cfg(tmp_path, "ell1=0\nell2=1\nstart=1\nstop=0\nstep=-0.05\n"))
+        assert len(cfg.points) == 21  # the README range
+
     @pytest.mark.parametrize("sweep,expected", [
         ("values = 0.5, 1.5\n", "line 3: sweep value p=1.5 outside"),
         ("sweep = qc\nvalues = 2, 0.5\n", "line 4: sweep value qc=0.5 below 1"),
         # the range's points are reported on its step line
         ("start = 1.5\nstop = 0\nstep = -0.5\n", "line 5: sweep value p=1.5 outside"),
-        # stop lies inside [0, 1], but 1.7 steps round to 2: 0.9, 0.4, -0.1
-        ("step = -0.5\nstart = 0.9\nstop = 0.05\n",
+        # the range's last point, 0.9 - 2 * 0.5, lies below 0
+        ("step = -0.5\nstart = 0.9\nstop = -0.1\n",
          r"line 3: sweep value p=-0\.0999+\d* outside"),
     ])
     def test_out_of_range_sweep_value_reports_line(self, tmp_path, capsys, sweep, expected):

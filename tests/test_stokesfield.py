@@ -303,10 +303,16 @@ class TestArbitraryDensityMatrix:
         # state with it only rescales the vector part
         rho = ginibre_state(parts)
         cf = coeff_field(HybridStateSpec(*charges), GridSpec(half_width=6.0, samples_per_axis=48))
-        base = normalize_stokes(stokes_field(rho, cf))
-        mixed = normalize_stokes(stokes_field(p * rho + (1.0 - p) * np.eye(4) / 4.0, cf))
-        live = ~base.mask & ~mixed.mask
-        np.testing.assert_allclose(mixed.vectors[live], base.vectors[live], rtol=0, atol=1e-12)
+        base_raw = stokes_field(rho, cf)
+        mixed_raw = stokes_field(p * rho + (1.0 - p) * np.eye(4) / 4.0, cf)
+        # the rescaling is exact on the raw Stokes vectors; normalizing divides
+        # their rounding by p |S|, which can sit just above the degeneracy cut
+        np.testing.assert_allclose(
+            np.stack([mixed_raw.s1, mixed_raw.s2, mixed_raw.s3], axis=-1),
+            p * np.stack([base_raw.s1, base_raw.s2, base_raw.s3], axis=-1),
+            rtol=0, atol=1e-12)
+        base = normalize_stokes(base_raw)
+        mixed = normalize_stokes(mixed_raw)
         assert skyrmion_number(mixed).number == pytest.approx(
             skyrmion_number(base).number, abs=1e-12)
 

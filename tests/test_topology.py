@@ -6,6 +6,7 @@ import pytest
 from qskyrmion import (
     GridSpec,
     HybridStateSpec,
+    coeff_field,
     convergence_scan,
     skyrmion_density,
     skyrmion_number,
@@ -304,3 +305,16 @@ class TestConvergence:
             grid = GridSpec(half_width=5.0, samples_per_axis=n)
             res = skyrmion_number(constant_field(grid))
             assert res.number == 0.0
+
+
+@pytest.mark.parametrize("waist", [math.nan, math.inf, 0.0, -1.0])
+def test_waist_not_positive_and_finite_is_rejected(waist):
+    # a fixed window, so the waist reaches the envelopes rather than the window rule
+    spec, grid = HybridStateSpec(0, 2), GridSpec(5.0, 32)
+    message = "waist must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        coeff_field(spec, grid, waist=waist)
+    with pytest.raises(ValueError, match=message):
+        texture_for_state(spec, 1.0, grid, waist=waist)
+    with pytest.raises(ValueError, match=message):
+        convergence_scan(spec, 1.0, [32], half_width=5.0, waist=waist)
