@@ -104,10 +104,16 @@ def pure_state(spec: HybridStateSpec) -> DensityMatrix4:
     In the package basis ordering the state vector is
     (1, 0, 0, exp(i*delta))/sqrt(2).
     """
+    psi = _state_vector(spec)
+    return DensityMatrix4(np.outer(psi, psi.conj()), noise_weight=1.0)
+
+
+def _state_vector(spec: HybridStateSpec) -> np.ndarray:
+    """The pure state's vector (1, 0, 0, exp(i*delta))/sqrt(2) in the package basis."""
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0 / math.sqrt(2.0)
     psi[3] = np.exp(1j * spec.delta) / math.sqrt(2.0)
-    return DensityMatrix4(np.outer(psi, psi.conj()), noise_weight=1.0)
+    return psi
 
 
 def apply_isotropic_noise(rho_pure: DensityMatrix4, p: float) -> DensityMatrix4:

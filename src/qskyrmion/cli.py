@@ -347,7 +347,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
         else:
             result = next(numbers)
-        witnesses = witness_report(rho, cfg.state, target=pure)
+        witnesses = witness_report(rho, cfg.state)
         rows.append(SweepRow(
             p=p,
             quantum_contrast=qc,

@@ -37,8 +37,7 @@ class ModeSpec:
     def __post_init__(self):
         if int(self.ell) != self.ell:
             raise ValueError("topological charge must be an integer")
-        if not (math.isfinite(self.waist) and self.waist > 0):
-            raise ValueError(f"waist must be positive, got {self.waist}")
+        check_waist(self.waist)
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,30 @@ class CoeffField:
 
     ``features`` holds, for every grid point in C order, the four real
     quantities every Stokes field is linear in: (|a|^2, |b|^2, Re(a b*),
-    Im(a b*)), shape (n^2, 4).  It is computed once, when the field is built,
-    and its masked rows are zero.
+    Im(a b*)), shape (n^2, 4), with masked rows zero.  :func:`coeff_field`
+    builds them once, from one quadrant of the grid and without complex
+    arithmetic.  The complex fields ``a`` and ``b`` themselves are not
+    stored: each read computes them over the whole grid.
     """
 
-    a: np.ndarray
-    b: np.ndarray
     mask: np.ndarray
+    features: np.ndarray = field(repr=False)
     grid: GridSpec
     state: HybridStateSpec
-    waist: float = 1.0
-    features: np.ndarray = field(init=False, repr=False)
+    waist: float
 
-    def __post_init__(self):
-        ab = self.a * self.b.conj()
-        feats = np.stack([np.abs(self.a) ** 2, np.abs(self.b) ** 2, ab.real, ab.imag], axis=-1)
-        feats[self.mask] = 0.0
-        self.features = feats.reshape(-1, 4)
+    @property
+    def a(self) -> np.ndarray:
+        """a(r) = |LG_ell1|/eta, real and non-negative, as a complex (n, n) array."""
+        amag, _, _ = _envelope_pair(self.state, self.grid.polar()[0], self.waist)
+        return amag.astype(complex)
+
+    @property
+    def b(self) -> np.ndarray:
+        """b(r) = e^{i dl phi}|LG_ell2|/eta as a complex (n, n) array."""
+        r, phi = self.grid.polar()
+        _, bmag, _ = _envelope_pair(self.state, r, self.waist)
+        return bmag * np.exp(1j * self.state.delta_ell * phi)
 
     @property
     def masked_fraction(self) -> float:
@@ -160,36 +166,20 @@ def _log_envelope(r: np.ndarray, ell: int, waist: float) -> np.ndarray:
     return lc + la * lr - (r / waist) ** 2
 
 
-def coeff_field(
-    state: HybridStateSpec,
-    grid: GridSpec,
-    *,
-    waist: float = 1.0,
-) -> CoeffField:
-    """Evaluate a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
-
-    eta(r) = sqrt(|LG_ell1|^2 + |LG_ell2|^2) normalizes the pair pointwise.
-    The ratio of the two envelopes is evaluated in log space, so the field
-    is accurate arbitrarily far into the Gaussian tail; points where eta
-    itself underflows double precision are masked rather than divided
-    through.  These are the position overlaps of the two OAM kets (up to a
-    common phase); the state's relative phase delta is not part of them, it
-    enters the texture once, through the density matrix.
-
-    Parameters
-    ----------
-    state : HybridStateSpec
-    grid : GridSpec
-    waist : float
-        Common beam waist of both modes.
-
-    Returns
-    -------
-    CoeffField
-    """
+def check_waist(waist: float) -> None:
+    """ValueError unless the beam waist is positive and finite."""
     if not (math.isfinite(waist) and waist > 0):
         raise ValueError(f"waist must be positive and finite, got {waist}")
-    r, phi = grid.polar()
+
+
+def _envelope_pair(state: HybridStateSpec, r: np.ndarray, waist: float):
+    """|a|, |b| and the underflow mask at radii ``r``.
+
+    |a| = |LG_ell1|/eta and |b| = |LG_ell2|/eta with
+    eta = sqrt(|LG_ell1|^2 + |LG_ell2|^2), the ratio taken in log space so it
+    stays accurate arbitrarily far into the Gaussian tail; the mask is True
+    where eta itself underflows double precision.
+    """
     l1 = _log_envelope(r, state.ell1, waist)
     l2 = _log_envelope(r, state.ell2, waist)
     top = np.maximum(l1, l2)
@@ -211,8 +201,75 @@ def coeff_field(
         amag = np.where(degenerate, lim_a, amag)
         bmag = np.where(degenerate, lim_b, bmag)
     # NaN (eta exactly zero) fails the comparison and is masked too
-    mask = ~(leta >= _LOG_TINY)
+    return amag, bmag, ~(leta >= _LOG_TINY)
 
-    a = amag.astype(complex)
-    b = bmag * np.exp(1j * state.delta_ell * phi)
-    return CoeffField(a=a, b=b, mask=mask, grid=grid, state=state, waist=waist)
+
+def coeff_field(
+    state: HybridStateSpec,
+    grid: GridSpec,
+    *,
+    waist: float = 1.0,
+) -> CoeffField:
+    """Features of a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
+
+    eta(r) = sqrt(|LG_ell1|^2 + |LG_ell2|^2) normalizes the pair pointwise.
+    The ratio of the two envelopes is evaluated in log space, so the field
+    is accurate arbitrarily far into the Gaussian tail; points where eta
+    itself underflows double precision are masked rather than divided
+    through.  These are the position overlaps of the two OAM kets (up to a
+    common phase); the state's relative phase delta is not part of them, it
+    enters the texture once, through the density matrix.
+
+    Every quantity is evaluated on the quadrant x, y >= 0 of the grid only
+    (the centre row and column included when the sample count is odd), in
+    real arithmetic: (|a|^2, |b|^2, |a||b| cos(dl phi), -|a||b| sin(dl phi)).
+    The magnitudes depend on |x| and |y| alone, and the angle terms change
+    sign by reflection: x -> -x takes phi to pi - phi, which multiplies the
+    cosine by (-1)^dl and the sine by -(-1)^dl, and y -> -y flips the sine.
+    The other three quadrants are written from it by index.
+
+    Parameters
+    ----------
+    state : HybridStateSpec
+    grid : GridSpec
+    waist : float
+        Common beam waist of both modes.
+
+    Returns
+    -------
+    CoeffField
+    """
+    check_waist(waist)
+    n = grid.samples_per_axis
+    q = grid.axis()[n // 2 :]
+    qx, qy = q[:, None], q[None, :]
+    amag, bmag, qmask = _envelope_pair(state, np.hypot(qx, qy), waist)
+    angle = state.delta_ell * np.arctan2(qy, qx)
+    ab = amag * bmag
+    planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
+    parity = -1.0 if state.delta_ell % 2 else 1.0
+    # x -> -x takes phi to pi - phi, y -> -y takes it to -phi
+    features = np.empty((n, n, 4))
+    for plane, out, sign_x, sign_y in zip(planes, np.moveaxis(features, -1, 0),
+                                          (1.0, 1.0, parity, -parity), (1.0, 1.0, 1.0, -1.0)):
+        plane[qmask] = 0.0
+        _unfold(plane, out, sign_x, sign_y)
+    mask = np.empty((n, n), dtype=bool)
+    _unfold(qmask, mask)
+    return CoeffField(mask=mask, features=features.reshape(-1, 4), grid=grid,
+                      state=state, waist=waist)
+
+
+def _unfold(quadrant: np.ndarray, out: np.ndarray, sign_x: float = 1.0,
+            sign_y: float = 1.0) -> None:
+    """Fill the (n, n) ``out`` from its quadrant x, y >= 0: rows x < 0 are
+    the rows x > 0 times ``sign_x``, then columns y < 0 the columns y > 0
+    times ``sign_y``.  A sign flip is 0 - x, so masked zeros stay +0.0."""
+    half = out.shape[0] // 2
+    out[half:, half:] = quadrant
+    out[:half, half:] = quadrant[: -half - 1 : -1]
+    if sign_x < 0:
+        np.subtract(0.0, out[:half, half:], out=out[:half, half:])
+    out[:, :half] = out[:, : -half - 1 : -1]
+    if sign_y < 0:
+        np.subtract(0.0, out[:, :half], out=out[:, :half])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, pure_state, purity
+from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
 from .stokesfield import _PAULI
 
 QC_CAP = 1e12
@@ -612,18 +612,20 @@ class WitnessReport:
     against_target: HybridStateSpec
 
 
-def witness_report(rho, target_spec: HybridStateSpec, *,
-                   target: DensityMatrix4 | None = None) -> WitnessReport:
+def witness_report(rho, target_spec: HybridStateSpec) -> WitnessReport:
     """Standard entanglement witnesses of a state against the ideal pure state.
 
-    ``target`` is ``pure_state(target_spec)``, built here unless given.
+    The target is pure, so the fidelity is exactly <psi|rho|psi> with
+    |psi> = (1, 0, 0, exp(i*delta))/sqrt(2), clipped to [0, 1]: the value
+    :func:`fidelity` takes from eigendecompositions.  A state with an
+    eigenvalue below -1e-8 raises ValueError, from :func:`concurrence`.
     """
-    if target is None:
-        target = pure_state(target_spec)
+    m = _as_matrix(rho)
+    psi = _state_vector(target_spec)
     return WitnessReport(
         purity=purity(rho),
         concurrence=concurrence(rho),
-        fidelity=fidelity(rho, target),
+        fidelity=min(max(float((psi.conj() @ m @ psi).real), 0.0), 1.0),
         against_target=target_spec,
     )
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
-from .lgmodes import CoeffField, GridSpec, check_charge, coeff_field
+from .lgmodes import CoeffField, GridSpec, check_charge, check_waist, coeff_field
 from .stokesfield import DEGENERACY_EPS, UnitVectorField, normalize_stokes, stokes_field
 
 # one-sided weights of symmetric central-difference stencils by order
@@ -269,8 +269,10 @@ def suggested_grid(
     estimated missing winding mass drops below ``_TAIL_BUDGET`` (clamped to
     [5w, 24w]: below 5w the envelopes are not contained, beyond ~27w the
     envelope itself underflows double precision, so larger windows only
-    cost resolution).
+    cost resolution).  A waist that is not positive and finite raises
+    ValueError before any window is formed.
     """
+    check_waist(waist)
     la1, la2 = check_charge(spec.ell1), check_charge(spec.ell2)
     da = la2 - la1
     dl = abs(spec.delta_ell)

@@ -318,3 +318,17 @@ def test_waist_not_positive_and_finite_is_rejected(waist):
         texture_for_state(spec, 1.0, grid, waist=waist)
     with pytest.raises(ValueError, match=message):
         convergence_scan(spec, 1.0, [32], half_width=5.0, waist=waist)
+
+
+@pytest.mark.parametrize("waist", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_waist_is_named_before_the_window_rule(waist):
+    # no grid or half-width: the tail-safe window is sized from the waist,
+    # so the error must name the waist, not the half-width it would produce
+    spec = HybridStateSpec(0, 2)
+    message = "waist must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        texture_for_state(spec, waist=waist)
+    with pytest.raises(ValueError, match=message):
+        convergence_scan(spec, 1.0, [32], waist=waist)
+    with pytest.raises(ValueError, match=message):
+        suggested_grid(spec, 32, waist=waist)
