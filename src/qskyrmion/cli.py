@@ -36,7 +36,6 @@ from .tomography import (
     witness_report,
 )
 from .topology import (
-    _channel_outputs,
     _window_grid,
     channel_skyrmion_numbers,
     convergence_scan,
@@ -250,6 +249,8 @@ def load_config(path) -> SweepConfig:
     )
     if cfg.samples < 16:
         raise ConfigError("samples must be at least 16", entries["samples"][1])
+    if cfg.seed < 0:  # the default is not, so the key was given
+        raise ConfigError("seed must be non-negative", entries["seed"][1])
     for key in ("waist", "pair_rate", "window", "duration"):
         if getattr(cfg, key) <= 0:  # defaults are positive, so the key was given
             raise ConfigError(f"{key} must be positive", entries[key][1])
@@ -359,6 +360,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             masked_fraction=result.masked_fraction,
             converged=converged,
         ))
+        del result  # its texture is not held through the next point's chain
     return rows
 
 
@@ -407,10 +409,10 @@ def run_topology_gallery(
     is set, the normalized textures (x, y, S1, S2, S3) and a summary table
     are written there.
 
-    Isotropic noise only scales (S1, S2, S3) by p, so both textures and
-    numbers of a state come from one p = 1 texture and density
-    (:func:`~qskyrmion.topology._channel_outputs`).  While the noisy
-    texture is the clean one, both files share one formatted body;
+    Isotropic noise only scales (S1, S2, S3) by p, so both results of a
+    state, and the textures they carry as ``field``, come from one p = 1
+    texture and density (:func:`channel_skyrmion_numbers`).  While the
+    noisy result is the clean one, both files share one formatted body;
     otherwise the noisy file has its own body with the grown degenerate set
     zeroed.
     """
@@ -423,7 +425,7 @@ def run_topology_gallery(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     for spec, grid in zip(specs, grids):
-        (clean_tex, clean), (noisy_tex, noisy) = _channel_outputs(
+        clean, noisy = channel_skyrmion_numbers(
             pure_state(spec), coeff_field(spec, grid, waist=waist), [1.0, p])
         if out is not None:
             targets = [(out / f"texture_{spec.ell1}_{spec.ell2}_{tag}.csv", [
@@ -432,11 +434,11 @@ def run_topology_gallery(
                 f"# skyrmion_number = {_fmt(res.number)}",
                 f"# half_width = {_fmt(grid.half_width)}",
             ]) for tag, weight, res in (("clean", 1.0, clean), ("noisy", p, noisy))]
-            if noisy_tex is clean_tex:
-                _write_grid_csv(targets, "x,y,s1,s2,s3", grid, clean_tex.vectors)
+            if noisy is clean:
+                _write_grid_csv(targets, "x,y,s1,s2,s3", grid, clean.field.vectors)
             else:
-                for target, texture in zip(targets, (clean_tex, noisy_tex)):
-                    _write_grid_csv([target], "x,y,s1,s2,s3", grid, texture.vectors)
+                for target, res in zip(targets, (clean, noisy)):
+                    _write_grid_csv([target], "x,y,s1,s2,s3", grid, res.field.vectors)
         rows.append(GalleryRow(
             state=spec,
             number_clean=clean.number,
@@ -444,7 +446,7 @@ def run_topology_gallery(
             residual_clean=clean.residual,
             residual_noisy=noisy.residual,
         ))
-        del clean_tex, noisy_tex  # not held while the next state's density is built
+        del clean, noisy  # their textures are not held while the next state's is built
     if out is not None:
         _write_csv(out / "gallery.csv", [f"# p = {_fmt(p)}"],
                    "ell1,ell2,delta,n_clean,n_noisy,residual_clean,residual_noisy,matched",
@@ -494,6 +496,11 @@ def _check_positive_finite(args, *flags) -> None:
     for flag in flags:
         if not 0 < getattr(args, flag) < math.inf:  # also rejects nan
             raise ConfigError(f"--{flag.replace('_', '-')} must be positive and finite")
+
+
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed must be non-negative")
 
 
 def _half_width_arg(args) -> float | None:
@@ -586,10 +593,11 @@ def _cmd_skyrmion(args) -> int:
             f"# skyrmion_number = {_fmt(result.number)}",
         ])], "x,y,density", grid, result.density)
         print(f"density written to {args.density_out}")
-    return 2 if result.residual > RESIDUAL_WARN and result.masked_fraction < 1.0 else 0
+    return 2 if result.residual > RESIDUAL_WARN else 0
 
 
 def _cmd_sweep(args) -> int:
+    _check_seed(args.seed)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -602,7 +610,7 @@ def _cmd_sweep(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(rows, cfg, out / "sweep.csv")
         print(f"sweep written to {out / 'sweep.csv'}")
-    high = [r for r in rows if r.residual > RESIDUAL_WARN and r.masked_fraction < 1.0]
+    high = [r for r in rows if r.residual > RESIDUAL_WARN]
     return 2 if high or not all(r.converged for r in rows) else 0
 
 
@@ -631,6 +639,7 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_tomo(args) -> int:
     _check_positive_finite(args, "pair_rate", "window", "duration")
+    _check_seed(args.seed)
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
     record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)

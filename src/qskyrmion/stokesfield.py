@@ -56,16 +56,17 @@ class StokesField:
 
 @dataclass
 class UnitVectorField:
-    """Unit 3-vector field over a grid, with a mask for degenerate points.
-
-    ``collapsed`` is set when every point was degenerate (zero vector), the
-    maximally-mixed limit in which the texture contracts to a single point.
-    """
+    """Unit 3-vector field over a grid, with a mask for degenerate points."""
 
     vectors: np.ndarray  # shape (n, n, 3)
     mask: np.ndarray
     grid: GridSpec
-    collapsed: bool = False
+
+    @property
+    def collapsed(self) -> bool:
+        """Every point is degenerate (zero vector): the maximally mixed limit,
+        in which the texture contracts to a single point."""
+        return bool(self.mask.all())
 
     @property
     def masked_fraction(self) -> float:
@@ -158,8 +159,8 @@ def normalize_stokes(field: StokesField, eps: float = DEGENERACY_EPS) -> UnitVec
 
     Each (S1, S2, S3) is divided by its Euclidean norm; points with norm
     below ``eps`` are masked as degenerate.  A field whose every point is
-    degenerate (the p = 0 maximally mixed limit) comes back fully masked
-    with ``collapsed`` set instead of raising.
+    degenerate (the p = 0 maximally mixed limit) comes back fully masked,
+    ``collapsed``, instead of raising.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -169,5 +170,4 @@ def normalize_stokes(field: StokesField, eps: float = DEGENERACY_EPS) -> UnitVec
     norm[degenerate] = 1.0
     vec /= norm[..., None]
     vec[degenerate] = 0.0
-    collapsed = bool(degenerate.all())
-    return UnitVectorField(vectors=vec, mask=degenerate, grid=field.grid, collapsed=collapsed)
+    return UnitVectorField(vectors=vec, mask=degenerate, grid=field.grid)

@@ -53,8 +53,12 @@ class SkyrmionResult:
     density: np.ndarray
     rounded: int
     residual: float
-    grid: GridSpec
+    field: UnitVectorField  # the texture whose density this is
     masked_fraction: float
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.field.grid
 
     @property
     def resolution(self) -> int:
@@ -155,9 +159,9 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     """
     grid = field.grid
     masked_fraction = field.masked_fraction
-    if field.collapsed or masked_fraction == 1.0:
+    if masked_fraction == 1.0:
         n = grid.samples_per_axis
-        number, density, masked_fraction = 0.0, np.zeros((n, n)), 1.0
+        number, density = 0.0, np.zeros((n, n))
     else:
         density = skyrmion_density(field)
         h = grid.spacing
@@ -166,7 +170,7 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     rounded = int(round(number))
     return SkyrmionResult(
         number=number, density=density, rounded=rounded,
-        residual=abs(number - rounded), grid=grid, masked_fraction=masked_fraction,
+        residual=abs(number - rounded), field=field, masked_fraction=masked_fraction,
     )
 
 
@@ -177,11 +181,11 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     (S1, S2, S3) of p rho + (1 - p) I/4 is exactly p times that of ``rho``.
     The unit texture is therefore the same at every p > 0; only the
     degenerate set p |S| < DEGENERACY_EPS grows as p falls.  The texture and
-    its density are built once, here (:func:`_channel_outputs`).  The numbers
-    match the per-point chain ``skyrmion_number(normalize_stokes(
-    stokes_field(apply_isotropic_noise(rho, p), coeffs)))`` up to the
-    rounding of that chain's mixed state, including the exact N = 0 of a
-    fully masked texture at p = 0.
+    its density are built once, on the call.  The numbers match the
+    per-point chain ``skyrmion_number(normalize_stokes(stokes_field(
+    apply_isotropic_noise(rho, p), coeffs)))`` up to the rounding of that
+    chain's mixed state, including the exact N = 0 of a fully masked
+    texture at p = 0.
 
     Parameters
     ----------
@@ -189,30 +193,18 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         The channel input, whose texture is that of p = 1.
     coeffs : CoeffField
     weights : iterable of float
-        Channel weights in [0, 1], in any order; repeats are allowed.
+        Channel weights in [0, 1], in any order; repeats are allowed.  They
+        are checked on the call, before any result is requested.
 
     Returns
     -------
     iterator of SkyrmionResult
         One per weight, in the order given, each built only when it is
-        requested.  Every weight whose degenerate set is that of p = 1
-        gets the same result, whose density is read-only; any other weight
-        gets :func:`skyrmion_number` of its own masked texture.
-    """
-    return (result for _, result in _channel_outputs(rho, coeffs, weights))
-
-
-def _channel_outputs(rho, coeffs: CoeffField,
-                     weights) -> Iterator[tuple[UnitVectorField, SkyrmionResult]]:
-    """The unit texture and Skyrmion number of each channel output of ``rho``.
-
-    The weights are checked and the p = 1 texture, its norm |S| and its
-    :func:`skyrmion_number` (density made read-only) are built on the call;
-    each (texture, result) pair is built when it is requested.  While a
-    weight's degenerate set is that of p = 1, the pair is the p = 1 texture
-    and result themselves.  Any other weight gets a texture with its set
-    zeroed (a read-only zero view once every point is masked) and
-    :func:`skyrmion_number` of that texture.
+        requested, with its texture as ``field``.  Every weight whose
+        degenerate set is that of p = 1 gets the same result: the p = 1
+        texture and a read-only density.  Any other weight gets
+        :func:`skyrmion_number` of a texture with its set zeroed (a
+        read-only zero view once every point is masked).
     """
     weights = [float(p) for p in weights]
     for p in weights:
@@ -229,13 +221,11 @@ def _channel_outputs(rho, coeffs: CoeffField,
         for p in weights:
             degenerate = (p * norm < DEGENERACY_EPS) | field.mask
             if np.count_nonzero(degenerate) == base_count:  # sets only grow as p falls: p = 1's
-                yield field, result
+                yield result
                 continue
-            collapsed = bool(degenerate.all())
-            vectors = (np.broadcast_to(0.0, field.vectors.shape) if collapsed  # read-only, no memory
-                       else np.where(degenerate[..., None], 0.0, field.vectors))
-            masked = UnitVectorField(vectors, degenerate, field.grid, collapsed=collapsed)
-            yield masked, skyrmion_number(masked)
+            vectors = (np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
+                       if degenerate.all() else np.where(degenerate[..., None], 0.0, field.vectors))
+            yield skyrmion_number(UnitVectorField(vectors, degenerate, field.grid))
 
     return outputs()
 
