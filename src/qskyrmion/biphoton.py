@@ -36,7 +36,6 @@ class HybridStateSpec:
     ell1: int
     ell2: int
     delta: float = 0.0
-    pol_basis: tuple[str, str] = ("H", "V")
 
     def __post_init__(self):
         try:  # math.isfinite would overflow on integers beyond float range
@@ -47,8 +46,6 @@ class HybridStateSpec:
             raise ValueError("topological charges must be integers")
         if not math.isfinite(self.delta):
             raise ValueError("relative phase must be finite")
-        if len(self.pol_basis) != 2 or self.pol_basis[0] == self.pol_basis[1]:
-            raise ValueError("polarization labels must be two distinct names")
 
     @property
     def delta_ell(self) -> int:

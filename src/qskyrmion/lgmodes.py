@@ -20,7 +20,6 @@ import numpy as np
 
 from .biphoton import HybridStateSpec
 
-NORMALIZATION_TOL = 1e-12
 # log of the smallest positive double; below this eta underflows
 _LOG_TINY = math.log(5e-324)
 # largest |ell| whose factorial, and so whose envelope normalization, is a finite double

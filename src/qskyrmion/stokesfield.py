@@ -38,8 +38,7 @@ class StokesField:
     """Grid-sampled Stokes parameters (S0, S1, S2, S3) of photon B.
 
     ``mask`` marks points excluded upstream (envelope underflow); Stokes
-    values there are zeroed.  ``noise_weight`` carries the channel weight p
-    of the source density matrix when known.
+    values there are zeroed.
     """
 
     s0: np.ndarray
@@ -48,7 +47,6 @@ class StokesField:
     s3: np.ndarray
     mask: np.ndarray
     grid: GridSpec
-    noise_weight: float | None = None
 
     def vector_norm(self) -> np.ndarray:
         return np.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
@@ -110,7 +108,7 @@ def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.nda
     return 0.5 * np.einsum("m,mjl->jl", stokes, _PAULI)
 
 
-def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> StokesField:
+def stokes_field(rho, coeffs: CoeffField) -> StokesField:
     """Quantum Stokes fields S_i(r) = Tr(sigma_i <r|rho|r>) over the grid.
 
     S0 is the trace of the conditional operator (1 for channel outputs).
@@ -120,15 +118,9 @@ def stokes_field(rho, coeffs: CoeffField, grid: GridSpec | None = None) -> Stoke
     ----------
     rho : DensityMatrix4 or (4, 4) array
     coeffs : CoeffField
-    grid : GridSpec, optional
-        Must match ``coeffs.grid`` when given.
     """
-    if grid is not None and grid != coeffs.grid:
-        raise ValueError("grid does not match the one the coefficients were computed on")
     stokes = (coeffs.features @ _stokes_map(rho)).reshape(coeffs.mask.shape + (4,))
-    noise_weight = rho.noise_weight if isinstance(rho, DensityMatrix4) else None
-    return StokesField(*np.moveaxis(stokes, -1, 0), mask=coeffs.mask.copy(),
-                       grid=coeffs.grid, noise_weight=noise_weight)
+    return StokesField(*np.moveaxis(stokes, -1, 0), mask=coeffs.mask.copy(), grid=coeffs.grid)
 
 
 def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
@@ -154,19 +146,17 @@ def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
     return i_plus, i_minus, noise_share
 
 
-def normalize_stokes(field: StokesField, eps: float = DEGENERACY_EPS) -> UnitVectorField:
+def normalize_stokes(field: StokesField) -> UnitVectorField:
     """Map the Stokes vector field onto the unit sphere.
 
     Each (S1, S2, S3) is divided by its Euclidean norm; points with norm
-    below ``eps`` are masked as degenerate.  A field whose every point is
-    degenerate (the p = 0 maximally mixed limit) comes back fully masked,
-    ``collapsed``, instead of raising.
+    below ``DEGENERACY_EPS`` are masked as degenerate.  A field whose every
+    point is degenerate (the p = 0 maximally mixed limit) comes back fully
+    masked, ``collapsed``, instead of raising.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     vec = np.stack([field.s1, field.s2, field.s3], axis=-1)
     norm = field.vector_norm()
-    degenerate = (norm < eps) | field.mask
+    degenerate = (norm < DEGENERACY_EPS) | field.mask
     norm[degenerate] = 1.0
     vec /= norm[..., None]
     vec[degenerate] = 0.0

@@ -53,12 +53,6 @@ class MeasurementSetting:
         pb = np.outer(self.state_b, self.state_b.conj())
         return np.kron(pa, pb)
 
-    def projector_a(self) -> np.ndarray:
-        return np.kron(np.outer(self.state_a, self.state_a.conj()), np.eye(2))
-
-    def projector_b(self) -> np.ndarray:
-        return np.kron(np.eye(2), np.outer(self.state_b, self.state_b.conj()))
-
 
 def settings_36() -> list[MeasurementSetting]:
     """The 36 joint settings, photon A outer loop, photon B inner.
@@ -80,8 +74,10 @@ def settings_36() -> list[MeasurementSetting]:
 
 _SETTINGS = settings_36()
 _PROJECTORS = np.array([s.projector() for s in _SETTINGS])
-_PROJECTORS_A = np.array([s.projector_a() for s in _SETTINGS])
-_PROJECTORS_B = np.array([s.projector_b() for s in _SETTINGS])
+_PROJECTORS_A = np.array([np.kron(np.outer(s.state_a, s.state_a.conj()), np.eye(2))
+                          for s in _SETTINGS])
+_PROJECTORS_B = np.array([np.kron(np.eye(2), np.outer(s.state_b, s.state_b.conj()))
+                          for s in _SETTINGS])
 
 
 @dataclass
@@ -126,7 +122,6 @@ class TomographyRecord:
 
 def simulate_counts(
     rho,
-    settings: list[MeasurementSetting] | None = None,
     *,
     pair_rate: float,
     noise_rate_a: float = 0.0,
@@ -136,7 +131,7 @@ def simulate_counts(
     mode: str = "deterministic",
     seed: int | None = None,
 ) -> TomographyRecord:
-    """Simulate coincidence and singles counts for all settings.
+    """Simulate coincidence and singles counts for the 36 settings.
 
     Per setting, the expected counts are
 
@@ -153,8 +148,6 @@ def simulate_counts(
     ----------
     rho : DensityMatrix4 or (4, 4) array
         Signal state emitted by the source.
-    settings : list of MeasurementSetting, optional
-        Defaults to the canonical 36.
     pair_rate : float
         Signal pair rate in Hz.
     noise_rate_a, noise_rate_b : float
@@ -165,7 +158,7 @@ def simulate_counts(
         Integration time in seconds.
     mode : {"deterministic", "poisson"}
     seed : int, optional
-        RNG seed for poisson mode.
+        RNG seed for poisson mode; a negative seed raises in either mode.
     """
     if not all(map(math.isfinite, (pair_rate, noise_rate_a, noise_rate_b, window, duration))):
         raise ValueError("rates, window and duration must be finite")
@@ -175,16 +168,12 @@ def simulate_counts(
         raise ValueError("window and duration must be positive")
     if mode not in ("deterministic", "poisson"):
         raise ValueError(f"unknown sampling mode {mode!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     m = _as_matrix(rho)
-    if settings is None:
-        proj, proj_a, proj_b = _PROJECTORS, _PROJECTORS_A, _PROJECTORS_B
-    else:
-        proj = np.array([s.projector() for s in settings])
-        proj_a = np.array([s.projector_a() for s in settings])
-        proj_b = np.array([s.projector_b() for s in settings])
-    p_joint = np.einsum("kij,ji->k", proj, m).real
-    p_a = np.einsum("kij,ji->k", proj_a, m).real
-    p_b = np.einsum("kij,ji->k", proj_b, m).real
+    p_joint = np.einsum("kij,ji->k", _PROJECTORS, m).real
+    p_a = np.einsum("kij,ji->k", _PROJECTORS_A, m).real
+    p_b = np.einsum("kij,ji->k", _PROJECTORS_B, m).real
     # a Born probability of 0 can round to -1e-32: clip the expected counts
     singles_a = np.maximum(duration * (pair_rate * p_a + noise_rate_a), 0.0)
     singles_b = np.maximum(duration * (pair_rate * p_b + noise_rate_b), 0.0)

@@ -99,7 +99,7 @@ def _diff(f: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np.ndarray:
+def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     """Topological charge density S . (dS/dx x dS/dy) over the grid.
 
     Masked points and every point whose difference stencil touches one
@@ -108,15 +108,12 @@ def skyrmion_density(field: UnitVectorField, grid: GridSpec | None = None) -> np
     Parameters
     ----------
     field : UnitVectorField
-    grid : GridSpec, optional
-        Must match the field's grid when given.
+        Its vectors must have the shape (n, n, 3) of its grid.
 
     Returns
     -------
     (n, n) ndarray
     """
-    if grid is not None and grid != field.grid:
-        raise ValueError("grid does not match the field's grid")
     grid = field.grid
     n = grid.samples_per_axis
     vectors = field.vectors

@@ -23,10 +23,6 @@ class TestHybridStateSpec:
         assert HybridStateSpec(0, 3).delta_ell == 3
         assert HybridStateSpec(2, -1).delta_ell == -3
 
-    def test_rejects_identical_polarization_labels(self):
-        with pytest.raises(ValueError):
-            HybridStateSpec(0, 1, pol_basis=("H", "H"))
-
     def test_rejects_nonfinite_phase(self):
         with pytest.raises(ValueError):
             HybridStateSpec(0, 1, delta=math.nan)

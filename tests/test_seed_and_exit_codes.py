@@ -3,13 +3,20 @@
 A seed reaches numpy's Poisson draws only in tomographic runs, but it is
 checked wherever it is given: at its line of a sweep config and on the
 ``--seed`` flags of ``sweep`` and ``tomo``, for analytic and
-``--deterministic`` runs too.  A fully masked texture has N = 0 with
-residual 0, so ``skyrmion``, ``sweep`` and ``converge`` at p = 0 exit 0.
+``--deterministic`` runs too.  The library checks it as well:
+``simulate_counts``, and so a tomographic ``run_sweep``, rejects a negative
+seed in either sampling mode with a message that names it.  A fully
+masked texture has N = 0 with residual 0, so ``skyrmion``, ``sweep`` and
+``converge`` at p = 0 exit 0.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from qskyrmion.cli import ConfigError, load_config, main
+from qskyrmion import simulate_counts
+from qskyrmion.cli import ConfigError, load_config, main, run_sweep
 
 
 def write_config(tmp_path, pipeline, seed):
@@ -34,6 +41,20 @@ def test_negative_config_seed_fails_at_its_line(tmp_path, capsys, pipeline, dete
 
 def test_zero_config_seed_is_accepted(tmp_path):
     assert load_config(write_config(tmp_path, "tomographic", 0)).seed == 0
+
+
+@pytest.mark.parametrize("mode", ["poisson", "deterministic"])
+def test_simulate_counts_rejects_negative_seed(mode):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        simulate_counts(np.eye(4) / 4, pair_rate=1e5, mode=mode, seed=-1)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_tomographic_run_sweep_rejects_negative_seed(tmp_path, deterministic):
+    cfg = dataclasses.replace(load_config(write_config(tmp_path, "tomographic", 0)),
+                              samples=16, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        run_sweep(cfg, deterministic=deterministic)
 
 
 @pytest.mark.parametrize("pipeline", ["analytic", "tomographic"])

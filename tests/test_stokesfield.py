@@ -105,15 +105,6 @@ class TestStokesField:
         live = ~fld.mask
         np.testing.assert_allclose(fld.s0[live], 1.0, atol=1e-10)
 
-    def test_grid_mismatch_rejected(self, bell_spec, bell_coeffs):
-        other = GridSpec(half_width=4.0, samples_per_axis=64)
-        with pytest.raises(ValueError):
-            stokes_field(pure_state(bell_spec), bell_coeffs, grid=other)
-
-    def test_noise_weight_propagates(self, bell_spec, bell_coeffs):
-        fld = stokes_field(channel(bell_spec, 0.45), bell_coeffs)
-        assert fld.noise_weight == pytest.approx(0.45)
-
 
 class TestRelativePhase:
     def test_texture_carries_delta_once(self):
@@ -229,11 +220,6 @@ class TestNormalizeStokes:
             for p in (0.05, 0.2, 1.0)
         ]
         assert all((m == masks[0]).all() for m in masks[1:])
-
-    def test_rejects_nonpositive_eps(self, bell_spec, bell_coeffs):
-        fld = stokes_field(pure_state(bell_spec), bell_coeffs)
-        with pytest.raises(ValueError):
-            normalize_stokes(fld, eps=0.0)
 
 
 # rho = G G^dag / Tr(G G^dag) for a random complex 4x4 G: every physical state

@@ -101,14 +101,6 @@ class TestSimulateCounts:
         np.testing.assert_allclose(rec.singles_a, rec.singles_a[0], rtol=1e-12)
         np.testing.assert_allclose(rec.singles_b, rec.singles_b[0], rtol=1e-12)
 
-    def test_explicit_settings_match_default(self):
-        rho = channel(0.6)
-        default = make_record(rho, noise=1e4)
-        explicit = simulate_counts(
-            rho, settings_36(), pair_rate=1e5, noise_rate_a=1e4, noise_rate_b=1e4,
-            window=WINDOW, duration=1.0)
-        np.testing.assert_allclose(explicit.coincidences, default.coincidences, rtol=1e-14)
-
     def test_poisson_mode_reproducible(self):
         a = make_record(channel(0.7), noise=1e4, mode="poisson", seed=11)
         b = make_record(channel(0.7), noise=1e4, mode="poisson", seed=11)
@@ -367,7 +359,8 @@ class TestMleReconstruct:
     def test_converges_on_sparse_counts(self):
         # ten coincidences over a background of ~6e-8 per setting: early
         # steps meet settings with counts but almost no expected counts, so
-        # the FISTA curvature estimate has to shrink again afterwards
+        # the projected-gradient step's curvature estimate has to shrink
+        # again afterwards
         counts = np.zeros(36)
         counts[[7, 13, 15, 32]] = 1.0
         counts[[8, 22, 34]] = 2.0

@@ -91,11 +91,13 @@ class TestSkyrmionDensity:
         # dominates the deviation
         assert res.number == pytest.approx(1.0, abs=0.05)
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("shape", [(64, 64, 2), (65, 64, 3)])
+    def test_vectors_not_matching_grid_rejected(self, shape):
         grid = GridSpec(half_width=3.0, samples_per_axis=64)
-        other = GridSpec(half_width=3.0, samples_per_axis=96)
-        with pytest.raises(ValueError):
-            skyrmion_density(constant_field(grid), grid=other)
+        fld = UnitVectorField(vectors=np.zeros(shape), mask=np.zeros((64, 64), dtype=bool),
+                              grid=grid)
+        with pytest.raises(ValueError, match="does not match grid"):
+            skyrmion_density(fld)
 
 
 def difference_matrix(n, spacing):
