@@ -22,6 +22,7 @@ from .lgmodes import CoeffField, GridSpec, ModeSpec, coeff_field, lg_amplitude
 from .stokesfield import (
     StokesField,
     UnitVectorField,
+    bloch_texture,
     conditional_state,
     normalize_stokes,
     projection_pair,
@@ -49,6 +50,7 @@ from .topology import (
     SkyrmionResult,
     channel_skyrmion_numbers,
     convergence_scan,
+    pullback_skyrmion_number,
     skyrmion_density,
     skyrmion_number,
     skyrmion_number_analytic,
@@ -74,6 +76,7 @@ __all__ = [
     "WitnessReport",
     "apply_isotropic_noise",
     "average_quantum_contrast",
+    "bloch_texture",
     "channel_purity",
     "channel_skyrmion_numbers",
     "coeff_field",
@@ -90,6 +93,7 @@ __all__ = [
     "noise_rate_for_contrast",
     "normalize_stokes",
     "projection_pair",
+    "pullback_skyrmion_number",
     "pure_state",
     "purity",
     "record_from_csv",

@@ -26,7 +26,7 @@ from .biphoton import (
     pure_state,
 )
 from .lgmodes import GridSpec, check_charge, coeff_field
-from .stokesfield import normalize_stokes, stokes_field
+from .stokesfield import bloch_texture
 from .tomography import (
     average_quantum_contrast,
     mle_reconstruct,
@@ -39,6 +39,7 @@ from .topology import (
     _window_grid,
     channel_skyrmion_numbers,
     convergence_scan,
+    pullback_skyrmion_number,
     skyrmion_number,
     suggested_grid,
     texture_for_state,
@@ -327,14 +328,18 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
     every row carries both p and the contrast it implies.  The analytic
     pipeline's states are channel outputs p rho + (1 - p) I/4, so their
     Skyrmion numbers share one texture (:func:`channel_skyrmion_numbers`).
-    A tomographic point reconstructs a state that is not a channel output
-    and takes the whole rho -> texture -> N chain.
+    A tomographic point reconstructs a state that is not a channel output;
+    its texture is still an affine image of the grid's OAM Bloch texture,
+    whose density is built once per sweep, and the point's number is that
+    density pulled back (:func:`pullback_skyrmion_number`).
     """
     coeffs = coeff_field(cfg.state, cfg.grid(), waist=cfg.waist)
     pure = pure_state(cfg.state)
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
     if cfg.pipeline == "analytic":
         numbers = channel_skyrmion_numbers(pure, coeffs, weights)
+    else:
+        bloch = skyrmion_number(bloch_texture(coeffs))
     rows = []
     for index, p in enumerate(weights):
         rho = apply_isotropic_noise(pure, p)
@@ -345,7 +350,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             estimate = mle_reconstruct(record)
             rho, converged = estimate.rho, estimate.converged
             qc = average_quantum_contrast(record)
-            result = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
+            result = pullback_skyrmion_number(rho, bloch)
         else:
             result = next(numbers)
         witnesses = witness_report(rho, cfg.state)
@@ -360,7 +365,6 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             masked_fraction=result.masked_fraction,
             converged=converged,
         ))
-        del result  # its texture is not held through the next point's chain
     return rows
 
 

@@ -12,6 +12,11 @@ real grid features F = (|a|^2, |b|^2, Re(a b*), Im(a b*)) of
 :attr:`CoeffField.features` and N = (M_00, M_11, M_01 + M_10, i(M_01 - M_10)).
 So S_mu = sum_c F_c R_c,mu with R_c,mu = 2 Re Tr(sigma_mu N_c): one
 (n^2, 4) x (4, 4) product per state.
+
+Since |a|^2 + |b|^2 = 1, the features are those of one unit vector, the
+Bloch vector n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2) of photon A's OAM
+qubit, and every texture is an affine image of it: (S1, S2, S3) = M n + c
+(:func:`bloch_texture`, :func:`_stokes_affine`).
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ SIGMA = {
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI = np.stack([np.eye(2, dtype=complex), SIGMA[1], SIGMA[2], SIGMA[3]])  # sigma_0..3
+# the Bloch vector n = F @ _BLOCH of the features F
+_BLOCH = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 
 @dataclass
@@ -77,6 +84,28 @@ def _stokes_map(rho) -> np.ndarray:
     m01, m10 = m[:2, 2:], m[2:, :2]
     blocks = np.stack([m[:2, :2], m[2:, 2:], m01 + m10, 1j * (m01 - m10)])
     return 2.0 * np.einsum("cjl,mlj->cm", blocks, _PAULI).real
+
+
+def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n.
+
+    F = ((1 + n_z)/2, (1 - n_z)/2, n_x/2, n_y/2) on unmasked points, so over
+    columns 1..3 of R the columns of M are R_2/2, R_3/2 and (R_0 - R_1)/2,
+    and c = (R_0 + R_1)/2.
+    """
+    r = _stokes_map(rho)[:, 1:]
+    return np.stack([r[2], r[3], r[0] - r[1]], axis=1) / 2.0, (r[0] + r[1]) / 2.0
+
+
+def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
+    """The OAM Bloch vectors n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2).
+
+    Unit vectors wherever ``coeffs`` is unmasked, zero where it is masked,
+    with the mask of ``coeffs``.  Every state's texture over this grid is
+    M n + c (:func:`_stokes_affine`).
+    """
+    n = coeffs.features @ _BLOCH
+    return UnitVectorField(n.reshape(coeffs.mask.shape + (3,)), coeffs.mask, coeffs.grid)
 
 
 def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.ndarray:

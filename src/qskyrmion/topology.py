@@ -23,7 +23,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
 from .lgmodes import CoeffField, GridSpec, check_charge, check_waist, coeff_field
-from .stokesfield import DEGENERACY_EPS, UnitVectorField, normalize_stokes, stokes_field
+from .stokesfield import (
+    DEGENERACY_EPS,
+    UnitVectorField,
+    _stokes_affine,
+    normalize_stokes,
+    stokes_field,
+)
 
 # one-sided weights of symmetric central-difference stencils by order
 _CENTRAL_WEIGHTS = {
@@ -46,14 +52,17 @@ class SkyrmionResult:
     """Skyrmion number with its quantization diagnostics.
 
     ``rounded`` is advisory; ``residual`` = |number - rounded| is the error
-    gauge and is reported, never silently absorbed.
+    gauge and is reported, never silently absorbed.  ``field`` is the
+    texture the difference stencil ran on: the state's own unit texture,
+    or for :func:`pullback_skyrmion_number` the OAM Bloch texture whose
+    density was pulled back.
     """
 
     number: float
     density: np.ndarray
     rounded: int
     residual: float
-    field: UnitVectorField  # the texture whose density this is
+    field: UnitVectorField
     masked_fraction: float
 
     @property
@@ -225,6 +234,75 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
             yield skyrmion_number(UnitVectorField(vectors, degenerate, field.grid))
 
     return outputs()
+
+
+def pullback_skyrmion_number(rho, bloch: SkyrmionResult) -> SkyrmionResult:
+    """Skyrmion number of the texture of ``rho``, pulled back from the Bloch texture's.
+
+    Over the grid of ``bloch``, the Stokes vectors of any state are
+    S = M n + c on the OAM Bloch vectors n (``stokesfield.bloch_texture``),
+    so the unit texture S/|S| is a map of n, and its density is the density
+    of n times the area Jacobian of that map,
+    J(n) = (det M + n . adj(M) c) / |M n + c|^3.  The adjugate, not the
+    inverse, keeps det M = 0 free of a branch.  The difference stencil runs
+    once, on n, in ``bloch``; each state then costs a few (n, n) products.
+
+    The degenerate set (|M n + c| < DEGENERACY_EPS, with the envelope mask)
+    is applied as :func:`skyrmion_number` applies it to
+    ``normalize_stokes(stokes_field(rho, coeffs))``: the density is zero on
+    the set's stencil footprint, and a set covering every point gives
+    exactly 0.  Where the grid resolves the texture, the number differs
+    from that chain's by the error of the finite differences.  Near a
+    topology flip, where the texture passes close to the origin of the
+    Stokes ball (|S| small next to M), J peaks between grid points and
+    neither number is resolved; this one can then read far beyond
+    |ell2 - ell1|, while the chain's density stays bounded by its unit
+    vectors.
+
+    Parameters
+    ----------
+    rho : DensityMatrix4 or (4, 4) array
+    bloch : SkyrmionResult
+        ``skyrmion_number(bloch_texture(coeffs))`` of the grid's coefficients.
+
+    Returns
+    -------
+    SkyrmionResult
+        The number, density, residual and masked fraction of ``rho``, with
+        the Bloch texture of ``bloch`` as ``field``.
+    """
+    field = bloch.field
+    shape = field.mask.shape
+    m, c = _stokes_affine(rho)
+    n = field.vectors.reshape(-1, 3)
+    stokes = m @ n.T  # rows S1, S2, S3
+    stokes += c[:, None]
+    stokes *= stokes
+    norm2 = stokes.sum(axis=0).reshape(shape)
+    del stokes  # the (3, n^2) array is not held through the density's temporaries
+    norm = np.sqrt(norm2)
+    degenerate = (norm < DEGENERACY_EPS) | field.mask
+    count = np.count_nonzero(degenerate)
+    if count == degenerate.size:
+        number, density = 0.0, np.zeros(shape)
+    else:
+        i, j = [1, 2, 0], [2, 0, 1]
+        cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
+        norm[degenerate] = norm2[degenerate] = 1.0
+        density = (n @ (cofactors.T @ c)).reshape(shape)  # n . adj(M) c
+        density += cofactors[0] @ m[0]  # det M
+        density /= norm2 * norm
+        density *= bloch.density
+        if count > np.count_nonzero(field.mask):
+            density[_stencil_footprint(degenerate)] = 0.0
+        weights = np.ones(shape[0])  # the trapezoidal rule along each axis
+        weights[[0, -1]] = 0.5
+        number = float(weights @ density @ weights * field.grid.spacing**2 / (4.0 * math.pi))
+    rounded = int(round(number))
+    return SkyrmionResult(
+        number=number, density=density, rounded=rounded, residual=abs(number - rounded),
+        field=field, masked_fraction=count / degenerate.size,
+    )
 
 
 def skyrmion_number_analytic(spec: HybridStateSpec) -> int:
