@@ -509,7 +509,11 @@ def _check_seed(seed: int | None) -> None:
 
 def _half_width_arg(args) -> float | None:
     """``--half-width`` in length units, or None for the auto window."""
-    return None if args.half_width == "auto" else float(args.half_width) * args.waist
+    try:
+        return None if args.half_width == "auto" else float(args.half_width) * args.waist
+    except ValueError:
+        raise ConfigError("--half-width must be a number or 'auto', "
+                          f"got {args.half_width!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,9 +581,10 @@ def _print_state(rho, target: HybridStateSpec) -> None:
 
 def _cmd_state(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
+    rho = apply_isotropic_noise(pure_state(state), args.p)
     print(f"state: ({state.ell1}, {state.ell2}), delta={state.delta:g}, p={args.p:g}")
     print("basis: {|l1,P1>, |l1,P2>, |l2,P1>, |l2,P2>}")
-    _print_state(apply_isotropic_noise(pure_state(state), args.p), state)
+    _print_state(rho, state)
     return 0
 
 

@@ -82,16 +82,18 @@ class CoeffField:
     precision (both envelopes effectively zero); values there are the
     analytic limits of the ratio and must not enter integrals.
 
-    ``features`` holds, for every grid point in C order, the four real
-    quantities every Stokes field is linear in: (|a|^2, |b|^2, Re(a b*),
-    Im(a b*)), shape (n^2, 4), with masked rows zero.  :func:`coeff_field`
-    builds them once, from one quadrant of the grid and without complex
-    arithmetic.  The complex fields ``a`` and ``b`` themselves are not
-    stored: each read computes them over the whole grid.
+    ``coords`` holds, for every grid point in C order, the homogeneous
+    coordinates h = (|a|^2, |b|^2, n_x, n_y) of photon A's OAM Bloch vector
+    n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2), shape (n^2, 4), with masked
+    rows zero; every Stokes field is linear in h.  n_z and 1 are kept apart
+    as (1 +- n_z)/2, so that neither |a|^2 nor |b|^2 loses digits to the
+    other.  :func:`coeff_field` builds them once, from one quadrant of the
+    grid and without complex arithmetic.  The complex fields ``a`` and ``b``
+    themselves are not stored: each read computes them over the whole grid.
     """
 
     mask: np.ndarray
-    features: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
     grid: GridSpec
     state: HybridStateSpec
     waist: float
@@ -209,7 +211,7 @@ def coeff_field(
     *,
     waist: float = 1.0,
 ) -> CoeffField:
-    """Features of a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
+    """Bloch coordinates of a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
 
     eta(r) = sqrt(|LG_ell1|^2 + |LG_ell2|^2) normalizes the pair pointwise.
     The ratio of the two envelopes is evaluated in log space, so the field
@@ -221,7 +223,7 @@ def coeff_field(
 
     Every quantity is evaluated on the quadrant x, y >= 0 of the grid only
     (the centre row and column included when the sample count is odd), in
-    real arithmetic: (|a|^2, |b|^2, |a||b| cos(dl phi), -|a||b| sin(dl phi)).
+    real arithmetic: h = (|a|^2, |b|^2, 2|a||b| cos(dl phi), -2|a||b| sin(dl phi)).
     The magnitudes depend on |x| and |y| alone, and the angle terms change
     sign by reflection: x -> -x takes phi to pi - phi, which multiplies the
     cosine by (-1)^dl and the sine by -(-1)^dl, and y -> -y flips the sine.
@@ -245,17 +247,18 @@ def coeff_field(
     amag, bmag, qmask = _envelope_pair(state, np.hypot(qx, qy), waist)
     angle = state.delta_ell * np.arctan2(qy, qx)
     ab = amag * bmag
+    ab *= 2.0
     planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
     parity = -1.0 if state.delta_ell % 2 else 1.0
     # x -> -x takes phi to pi - phi, y -> -y takes it to -phi
-    features = np.empty((n, n, 4))
-    for plane, out, sign_x, sign_y in zip(planes, np.moveaxis(features, -1, 0),
+    coords = np.empty((n, n, 4))
+    for plane, out, sign_x, sign_y in zip(planes, np.moveaxis(coords, -1, 0),
                                           (1.0, 1.0, parity, -parity), (1.0, 1.0, 1.0, -1.0)):
         plane[qmask] = 0.0
         _unfold(plane, out, sign_x, sign_y)
     mask = np.empty((n, n), dtype=bool)
     _unfold(qmask, mask)
-    return CoeffField(mask=mask, features=features.reshape(-1, 4), grid=grid,
+    return CoeffField(mask=mask, coords=coords.reshape(-1, 4), grid=grid,
                       state=state, waist=waist)
 
 

@@ -6,17 +6,16 @@ expectation values form the Stokes texture whose topology the rest of the
 package measures.  Convention: P1 is the +1 eigenstate of sigma_3, and
 (S1, S2, S3) follow (sigma_x, sigma_y, sigma_z) in the (P1, P2) basis.
 
-The texture is linear in rho.  With M_ik the 2x2 blocks of rho over photon
-A's OAM kets, the conditional operator is C(r) = 2 sum_c F_c(r) N_c for the
-real grid features F = (|a|^2, |b|^2, Re(a b*), Im(a b*)) of
-:attr:`CoeffField.features` and N = (M_00, M_11, M_01 + M_10, i(M_01 - M_10)).
-So S_mu = sum_c F_c R_c,mu with R_c,mu = 2 Re Tr(sigma_mu N_c): one
-(n^2, 4) x (4, 4) product per state.
-
-Since |a|^2 + |b|^2 = 1, the features are those of one unit vector, the
-Bloch vector n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2) of photon A's OAM
-qubit, and every texture is an affine image of it: (S1, S2, S3) = M n + c
-(:func:`bloch_texture`, :func:`_stokes_affine`).
+The texture is linear in rho and in photon A's OAM Bloch vector
+n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2).  With M_ik the 2x2 blocks of
+rho over photon A's OAM kets, the conditional operator is
+C(r) = sum_k h_k(r) N_k over the homogeneous coordinates
+h = (|a|^2, |b|^2, n_x, n_y) of :attr:`CoeffField.coords` and
+N = (2 M_00, 2 M_11, M_01 + M_10, i(M_01 - M_10)).  So S_mu = sum_k h_k K_k,mu
+with K_k,mu = Re Tr(sigma_mu N_k): one (n^2, 4) x (4, 4) product per state.
+Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2, every texture is an
+affine image of n, (S1, S2, S3) = M n + c (:func:`bloch_texture`,
+:func:`_stokes_affine`).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ SIGMA = {
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI = np.stack([np.eye(2, dtype=complex), SIGMA[1], SIGMA[2], SIGMA[3]])  # sigma_0..3
-# the Bloch vector n = F @ _BLOCH of the features F
-_BLOCH = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 
 @dataclass
@@ -79,22 +76,22 @@ class UnitVectorField:
 
 
 def _stokes_map(rho) -> np.ndarray:
-    """Real (4, 4) map R with S_mu(r) = sum_c F_c(r) R[c, mu] (module docstring)."""
+    """Real (4, 4) map K with S_mu(r) = sum_k h_k(r) K[k, mu] (module docstring)."""
     m = _as_matrix(rho)
     m01, m10 = m[:2, 2:], m[2:, :2]
-    blocks = np.stack([m[:2, :2], m[2:, 2:], m01 + m10, 1j * (m01 - m10)])
-    return 2.0 * np.einsum("cjl,mlj->cm", blocks, _PAULI).real
+    blocks = np.stack([2.0 * m[:2, :2], 2.0 * m[2:, 2:], m01 + m10, 1j * (m01 - m10)])
+    return np.einsum("kjl,mlj->km", blocks, _PAULI).real
 
 
 def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n.
 
-    F = ((1 + n_z)/2, (1 - n_z)/2, n_x/2, n_y/2) on unmasked points, so over
-    columns 1..3 of R the columns of M are R_2/2, R_3/2 and (R_0 - R_1)/2,
-    and c = (R_0 + R_1)/2.
+    h = ((1 + n_z)/2, (1 - n_z)/2, n_x, n_y) on unmasked points, so over
+    columns 1..3 of K the columns of M are K_2, K_3 and (K_0 - K_1)/2, and
+    c = (K_0 + K_1)/2.
     """
-    r = _stokes_map(rho)[:, 1:]
-    return np.stack([r[2], r[3], r[0] - r[1]], axis=1) / 2.0, (r[0] + r[1]) / 2.0
+    k = _stokes_map(rho)[:, 1:]
+    return np.stack([k[2], k[3], (k[0] - k[1]) / 2.0], axis=1), (k[0] + k[1]) / 2.0
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
@@ -104,7 +101,8 @@ def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
     with the mask of ``coeffs``.  Every state's texture over this grid is
     M n + c (:func:`_stokes_affine`).
     """
-    n = coeffs.features @ _BLOCH
+    n = coeffs.coords[:, [2, 3, 0]]  # a copy
+    n[:, 2] -= coeffs.coords[:, 1]
     return UnitVectorField(n.reshape(coeffs.mask.shape + (3,)), coeffs.mask, coeffs.grid)
 
 
@@ -133,7 +131,7 @@ def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.nda
     i, j = point
     if coeffs.mask[i, j]:
         raise ValueError(f"grid point {point} is masked (envelope underflow)")
-    stokes = coeffs.features.reshape(coeffs.mask.shape + (4,))[i, j] @ _stokes_map(rho)
+    stokes = coeffs.coords.reshape(coeffs.mask.shape + (4,))[i, j] @ _stokes_map(rho)
     return 0.5 * np.einsum("m,mjl->jl", stokes, _PAULI)
 
 
@@ -148,7 +146,7 @@ def stokes_field(rho, coeffs: CoeffField) -> StokesField:
     rho : DensityMatrix4 or (4, 4) array
     coeffs : CoeffField
     """
-    stokes = (coeffs.features @ _stokes_map(rho)).reshape(coeffs.mask.shape + (4,))
+    stokes = (coeffs.coords @ _stokes_map(rho)).reshape(coeffs.mask.shape + (4,))
     return StokesField(*np.moveaxis(stokes, -1, 0), mask=coeffs.mask.copy(), grid=coeffs.grid)
 
 

@@ -74,10 +74,6 @@ def settings_36() -> list[MeasurementSetting]:
 
 _SETTINGS = settings_36()
 _PROJECTORS = np.array([s.projector() for s in _SETTINGS])
-_PROJECTORS_A = np.array([np.kron(np.outer(s.state_a, s.state_a.conj()), np.eye(2))
-                          for s in _SETTINGS])
-_PROJECTORS_B = np.array([np.kron(np.eye(2), np.outer(s.state_b, s.state_b.conj()))
-                          for s in _SETTINGS])
 
 
 @dataclass
@@ -172,8 +168,9 @@ def simulate_counts(
         raise ValueError(f"seed must be non-negative, got {seed}")
     m = _as_matrix(rho)
     p_joint = np.einsum("kij,ji->k", _PROJECTORS, m).real
-    p_a = np.einsum("kij,ji->k", _PROJECTORS_A, m).real
-    p_b = np.einsum("kij,ji->k", _PROJECTORS_B, m).real
+    # a photon's marginal sums the joint probabilities over the other's basis pair
+    p_a = np.repeat(p_joint.reshape(6, 3, 2).sum(axis=2), 2, axis=1).ravel()
+    p_b = np.repeat(p_joint.reshape(3, 2, 6).sum(axis=1), 2, axis=0).ravel()
     # a Born probability of 0 can round to -1e-32: clip the expected counts
     singles_a = np.maximum(duration * (pair_rate * p_a + noise_rate_a), 0.0)
     singles_b = np.maximum(duration * (pair_rate * p_b + noise_rate_b), 0.0)

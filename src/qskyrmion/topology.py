@@ -53,9 +53,9 @@ class SkyrmionResult:
 
     ``rounded`` is advisory; ``residual`` = |number - rounded| is the error
     gauge and is reported, never silently absorbed.  ``field`` is the
-    texture the difference stencil ran on: the state's own unit texture,
-    or for :func:`pullback_skyrmion_number` the OAM Bloch texture whose
-    density was pulled back.
+    texture the density belongs to: the state's own unit texture, or for
+    :func:`pullback_skyrmion_number` the OAM Bloch texture whose density
+    was pulled back.
     """
 
     number: float
@@ -163,20 +163,29 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     exactly 0: the texture has contracted to a point and carries no
     topology.  Poor convergence shows up in ``residual``; nothing raises.
     """
-    grid = field.grid
-    masked_fraction = field.masked_fraction
-    if masked_fraction == 1.0:
-        n = grid.samples_per_axis
-        number, density = 0.0, np.zeros((n, n))
+    density = None if field.collapsed else skyrmion_density(field)
+    return _result(density, field.mask, field, field.mask)
+
+
+def _result(density, degenerate, field: UnitVectorField, mask) -> SkyrmionResult:
+    """The result of a ``density`` that is zero on the stencil footprint of
+    ``mask``, under the degenerate set ``degenerate`` that holds ``mask``:
+    exactly 0 if the set covers every point, else the trapezoidal integral
+    over 4*pi of the density, zeroed (in a new array) on the footprint of a
+    set grown beyond ``mask``."""
+    count = np.count_nonzero(degenerate)
+    if count == degenerate.size:
+        number, density = 0.0, np.zeros(degenerate.shape)
     else:
-        density = skyrmion_density(field)
-        h = grid.spacing
+        if count > np.count_nonzero(mask):
+            density = np.where(_stencil_footprint(degenerate), 0.0, density)
+        h = field.grid.spacing
         total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
         number = float(total / (4.0 * math.pi))
     rounded = int(round(number))
     return SkyrmionResult(
-        number=number, density=density, rounded=rounded,
-        residual=abs(number - rounded), field=field, masked_fraction=masked_fraction,
+        number=number, density=density, rounded=rounded, residual=abs(number - rounded),
+        field=field, masked_fraction=count / degenerate.size,
     )
 
 
@@ -208,9 +217,10 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         One per weight, in the order given, each built only when it is
         requested, with its texture as ``field``.  Every weight whose
         degenerate set is that of p = 1 gets the same result: the p = 1
-        texture and a read-only density.  Any other weight gets
-        :func:`skyrmion_number` of a texture with its set zeroed (a
-        read-only zero view once every point is masked).
+        texture and a read-only density.  Any other weight gets the p = 1
+        texture with its set zeroed (a read-only zero view once every point
+        is masked) and the p = 1 density zeroed on the set's stencil
+        footprint, which is what the stencil gives on that texture.
     """
     weights = [float(p) for p in weights]
     for p in weights:
@@ -231,7 +241,8 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
                 continue
             vectors = (np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
                        if degenerate.all() else np.where(degenerate[..., None], 0.0, field.vectors))
-            yield skyrmion_number(UnitVectorField(vectors, degenerate, field.grid))
+            yield _result(result.density, degenerate,
+                          UnitVectorField(vectors, degenerate, field.grid), field.mask)
 
     return outputs()
 
@@ -282,27 +293,14 @@ def pullback_skyrmion_number(rho, bloch: SkyrmionResult) -> SkyrmionResult:
     del stokes  # the (3, n^2) array is not held through the density's temporaries
     norm = np.sqrt(norm2)
     degenerate = (norm < DEGENERACY_EPS) | field.mask
-    count = np.count_nonzero(degenerate)
-    if count == degenerate.size:
-        number, density = 0.0, np.zeros(shape)
-    else:
-        i, j = [1, 2, 0], [2, 0, 1]
-        cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
-        norm[degenerate] = norm2[degenerate] = 1.0
-        density = (n @ (cofactors.T @ c)).reshape(shape)  # n . adj(M) c
-        density += cofactors[0] @ m[0]  # det M
-        density /= norm2 * norm
-        density *= bloch.density
-        if count > np.count_nonzero(field.mask):
-            density[_stencil_footprint(degenerate)] = 0.0
-        weights = np.ones(shape[0])  # the trapezoidal rule along each axis
-        weights[[0, -1]] = 0.5
-        number = float(weights @ density @ weights * field.grid.spacing**2 / (4.0 * math.pi))
-    rounded = int(round(number))
-    return SkyrmionResult(
-        number=number, density=density, rounded=rounded, residual=abs(number - rounded),
-        field=field, masked_fraction=count / degenerate.size,
-    )
+    i, j = [1, 2, 0], [2, 0, 1]
+    cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
+    norm[degenerate] = norm2[degenerate] = 1.0
+    density = (n @ (cofactors.T @ c)).reshape(shape)  # n . adj(M) c
+    density += cofactors[0] @ m[0]  # det M
+    density /= norm2 * norm
+    density *= bloch.density
+    return _result(density, degenerate, field, field.mask)
 
 
 def skyrmion_number_analytic(spec: HybridStateSpec) -> int:

@@ -192,6 +192,18 @@ def test_analytic_sweep_builds_one_density(monkeypatch):
     assert counter.calls == 1
 
 
+def test_grown_degenerate_set_builds_no_density_of_its_own(monkeypatch):
+    # the weak state of test_growing_mask_zeroes_its_own_stencil_footprint: its
+    # set grows at every weight below 1, and each takes the p = 1 density
+    coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 64))
+    rho = np.diag([0.25 + 2e-6, 0.25 - 2e-6, 0.25 - 2e-6, 0.25 + 2e-6]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 1e-7
+    counter = CountingDensity(monkeypatch)
+    results = list(channel_skyrmion_numbers(rho, coeffs, [1.0, 0.8, 0.4, 0.25, 0.0]))
+    assert counter.calls == 1
+    assert results[-1].masked_fraction == 1.0
+
+
 def test_tomographic_sweep_builds_one_density(monkeypatch):
     # the OAM Bloch texture's; each reconstructed state's is pulled back from it
     counter = CountingDensity(monkeypatch)

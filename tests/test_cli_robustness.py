@@ -256,3 +256,24 @@ def test_state_and_tomo_accept_any_charge(capsys, command):
     # neither forms an envelope, so no charge limit applies
     assert main([command, "--ell1", "0", "--ell2", "9" * 400, "--p", "0.7"]) == 0
     assert "fidelity" in capsys.readouterr().out
+
+
+# --- flags checked before any output -------------------------------------------
+
+def test_state_with_weight_outside_unit_interval_prints_nothing(capsys):
+    assert main(["state", "--ell1", "0", "--ell2", "1", "--p", "1.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("skyrmion", ["--samples", "32"]),
+    ("converge", ["--resolutions", "32"]),
+])
+def test_half_width_that_is_not_a_number_names_the_flag(capsys, command, extra):
+    argv = [command, "--ell1", "0", "--ell2", "1", "--half-width", "abc", *extra]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --half-width must be a number or 'auto', got 'abc'\n"

@@ -1,9 +1,10 @@
-"""coeff_field's one-quadrant, real-arithmetic features against the full-grid formula.
+"""coeff_field's one-quadrant, real-arithmetic coordinates against the full-grid formula.
 
 The reference below evaluates the coefficient field the direct way: both
 log envelopes, the log-space normalization and the complex fields
-a = |a|, b = |b| e^{i dl phi} at every grid point, then
-(|a|^2, |b|^2, Re(a b*), Im(a b*)) with masked rows zeroed.
+a = |a|, b = |b| e^{i dl phi} at every grid point, then the homogeneous
+Bloch coordinates with n_x and n_y halved, (|a|^2, |b|^2, Re(a b*), Im(a b*)),
+with masked rows zeroed.
 """
 
 import math
@@ -19,6 +20,8 @@ SIZES = (16, 17, 64, 97, 128, 256)
 # odd and even charge differences, negative charges, a large charge, and
 # |ell1| = |ell2|, where both envelopes vanish together at the centre
 STATES = ((0, 1), (0, -2), (2, -5), (-3, 1), (0, 12), (1, -1))
+# coords times HALVE is the reference's (|a|^2, |b|^2, Re(a b*), Im(a b*))
+HALVE = np.array([1.0, 1.0, 0.5, 0.5])
 
 
 def log_envelope(r, ell, waist):
@@ -30,7 +33,7 @@ def log_envelope(r, ell, waist):
 
 
 def reference(spec, grid, waist=1.0):
-    """(a, b, mask, features) over the whole grid, the direct way."""
+    """(a, b, mask, halved coordinates) over the whole grid, the direct way."""
     r, phi = grid.polar()
     l1 = log_envelope(r, spec.ell1, waist)
     l2 = log_envelope(r, spec.ell2, waist)
@@ -49,9 +52,9 @@ def reference(spec, grid, waist=1.0):
     a = amag.astype(complex)
     b = bmag * np.exp(1j * spec.delta_ell * phi)
     ab = a * b.conj()
-    features = np.stack([np.abs(a) ** 2, np.abs(b) ** 2, ab.real, ab.imag], axis=-1)
-    features[mask] = 0.0
-    return a, b, mask, features.reshape(-1, 4)
+    coords = np.stack([np.abs(a) ** 2, np.abs(b) ** 2, ab.real, ab.imag], axis=-1)
+    coords[mask] = 0.0
+    return a, b, mask, coords.reshape(-1, 4)
 
 
 class SymmetricGrid(GridSpec):
@@ -72,12 +75,12 @@ def test_features_match_full_grid_reference(n, charges):
     spec = HybridStateSpec(*charges)
     grid = suggested_grid(spec, n)
     cf = coeff_field(spec, grid)
-    _, _, mask, features = reference(spec, grid)
-    assert cf.features.shape == (n * n, 4)
+    _, _, mask, coords = reference(spec, grid)
+    assert cf.coords.shape == (n * n, 4)
     np.testing.assert_array_equal(cf.mask, mask)
     # the two differ only through np.linspace, whose x and -x are an ulp apart
-    np.testing.assert_allclose(cf.features, features, rtol=0, atol=1e-14)
-    assert not cf.features[cf.mask.ravel()].any()
+    np.testing.assert_allclose(cf.coords * HALVE, coords, rtol=0, atol=1e-14)
+    assert not cf.coords[cf.mask.ravel()].any()
 
 
 @pytest.mark.parametrize("n", (16, 17, 64, 97))
@@ -88,15 +91,15 @@ def test_mirror_signs_on_an_antisymmetric_axis(n, charges):
     spec = HybridStateSpec(*charges)
     grid = SymmetricGrid(suggested_grid(spec, n).half_width, n)
     cf = coeff_field(spec, grid)
-    _, _, mask, features = reference(spec, grid)
+    _, _, mask, coords = reference(spec, grid)
     np.testing.assert_array_equal(cf.mask, mask)
-    np.testing.assert_allclose(cf.features, features, rtol=0, atol=4e-15)
+    np.testing.assert_allclose(cf.coords * HALVE, coords, rtol=0, atol=4e-15)
 
 
 def test_masked_rows_are_positive_zero():
     # a window beyond the envelope's underflow radius masks the corners
     cf = coeff_field(HybridStateSpec(1, -2), GridSpec(40.0, 97))
-    masked = cf.features[cf.mask.ravel()]
+    masked = cf.coords[cf.mask.ravel()]
     assert cf.mask.any() and not cf.mask.all()
     assert not masked.any()
     assert not np.signbit(masked).any()
@@ -108,7 +111,7 @@ def test_features_do_not_depend_on_delta(charges, delta):
     grid = GridSpec(6.0, 33)
     base = coeff_field(HybridStateSpec(*charges), grid)
     phased = coeff_field(HybridStateSpec(*charges, delta), grid)
-    np.testing.assert_array_equal(phased.features, base.features)
+    np.testing.assert_array_equal(phased.coords, base.coords)
     np.testing.assert_array_equal(phased.mask, base.mask)
 
 
