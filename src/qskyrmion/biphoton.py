@@ -71,9 +71,7 @@ class DensityMatrix4:
     min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        m = _as_matrix(self.matrix)
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
@@ -87,12 +85,21 @@ class DensityMatrix4:
 
 
 def _as_matrix(rho) -> np.ndarray:
+    """The complex 4x4 array of ``rho``, which must have finite entries."""
     if isinstance(rho, DensityMatrix4):
         return rho.matrix
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix entries must be finite")
     return m
+
+
+def _check_weight(p: float) -> None:
+    """Raise ValueError unless the channel weight ``p`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
 
 
 def pure_state(spec: HybridStateSpec) -> DensityMatrix4:
@@ -127,8 +134,7 @@ def apply_isotropic_noise(rho_pure: DensityMatrix4, p: float) -> DensityMatrix4:
     p : float
         Surviving signal weight, 0 <= p <= 1.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
+    _check_weight(p)
     m = _as_matrix(rho_pure)
     if abs(np.trace(m @ m).real - 1.0) > PURITY_TOL:
         raise ValueError("isotropic channel input must be a pure state")
@@ -158,8 +164,7 @@ def contrast_from_p(p: float) -> float:
 
     Diverges as p -> 1 (noiseless limit); returns ``inf`` at p = 1.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_weight(p)
     if p == 1.0:
         return math.inf
     return (1.0 - p + p * _D) / (1.0 - p)

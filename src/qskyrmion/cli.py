@@ -20,6 +20,7 @@ import numpy as np
 
 from .biphoton import (
     HybridStateSpec,
+    _check_weight,
     apply_isotropic_noise,
     contrast_from_p,
     contrast_to_p,
@@ -51,16 +52,16 @@ MAX_SWEEP_POINTS = 10_000
 # rows formatted per piece of CSV text; bounds the memory a large grid takes
 _CSV_CHUNK_ROWS = 1024
 
-DEFAULTS = {
-    "delta": 0.0,
-    "pipeline": "analytic",
-    "samples": 256,
-    "half_width": 5.0,  # in waist units; "auto" picks the tail-safe window
-    "waist": 1.0,
-    "pair_rate": 1e5,
-    "window": 25e-9,
-    "duration": 1.0,
-    "seed": 1,
+# the type, default and condition of each setting of both the config (key pair_rate) and the
+# flags (--pair-rate); a float flag must also be finite.  half_width is in waist units
+_SETTINGS = {
+    "samples": (int, 256, "at least 16", lambda v: v >= 16),
+    "half_width": (float, 5.0, "positive", lambda v: v > 0),
+    "waist": (float, 1.0, "positive", lambda v: v > 0),
+    "pair_rate": (float, 1e5, "positive", lambda v: v > 0),
+    "window": (float, 25e-9, "positive", lambda v: v > 0),
+    "duration": (float, 1.0, "positive", lambda v: v > 0),
+    "seed": (int, 1, "non-negative", lambda v: v >= 0),
 }
 
 
@@ -112,11 +113,8 @@ class SweepRow:
     converged: bool = True  # False if the point's MLE reconstruction did not converge
 
 
-_KNOWN_KEYS = {
-    "ell1", "ell2", "delta", "sweep", "values", "start", "stop", "step",
-    "pipeline", "samples", "half_width", "waist", "pair_rate", "window",
-    "duration", "seed", "out",
-}
+_KNOWN_KEYS = {"ell1", "ell2", "delta", "sweep", "values", "start", "stop", "step",
+               "pipeline", "out", *_SETTINGS}
 
 
 def _parse_scalar(raw: str, line: int, key: str, cast):
@@ -161,6 +159,18 @@ def load_config(path) -> SweepConfig:
         value, lineno = entries[key]
         return _parse_scalar(value, lineno, key, cast)
 
+    def setting(key):
+        cast, default, condition, holds = _SETTINGS[key]
+        if key not in entries:
+            return default
+        raw, lineno = entries[key]
+        if key == "half_width" and raw.lower() == "auto":
+            return None
+        value = _parse_scalar(raw, lineno, key, cast)
+        if not holds(value):
+            raise ConfigError(f"{key} must be {condition}", lineno)
+        return value
+
     ell1 = take("ell1", int, required=True)
     ell2 = take("ell2", int, required=True)
     for key, ell in (("ell1", ell1), ("ell2", ell2)):
@@ -168,7 +178,7 @@ def load_config(path) -> SweepConfig:
             check_charge(ell)
         except ValueError as exc:
             raise ConfigError(str(exc), entries[key][1]) from None
-    delta = take("delta", float, DEFAULTS["delta"])
+    delta = take("delta", float, 0.0)
     state = HybridStateSpec(ell1, ell2, delta)
 
     sweep_var = take("sweep", str, "p").lower()
@@ -219,43 +229,19 @@ def load_config(path) -> SweepConfig:
         if sweep_var == "qc" and v < 1.0:
             raise ConfigError(f"sweep value qc={v} below 1", points_line)
 
-    pipeline = take("pipeline", str, DEFAULTS["pipeline"]).lower()
+    pipeline = take("pipeline", str, "analytic").lower()
     if pipeline not in ("analytic", "tomographic"):
         raise ConfigError(f"pipeline must be 'analytic' or 'tomographic', got {pipeline!r}",
                           entries["pipeline"][1] if "pipeline" in entries else None)
 
-    raw_hw = take("half_width", str, None)
-    if raw_hw is None:
-        half_width: float | None = DEFAULTS["half_width"]
-    elif raw_hw.lower() == "auto":
-        half_width = None
-    else:
-        half_width = _parse_scalar(raw_hw, entries["half_width"][1], "half_width", float)
-        if half_width <= 0:
-            raise ConfigError("half_width must be positive", entries["half_width"][1])
-
-    cfg = SweepConfig(
+    return SweepConfig(
         state=state,
         sweep_var=sweep_var,
         points=points,
         pipeline=pipeline,
-        samples=take("samples", int, DEFAULTS["samples"]),
-        half_width=half_width,
-        waist=take("waist", float, DEFAULTS["waist"]),
-        pair_rate=take("pair_rate", float, DEFAULTS["pair_rate"]),
-        window=take("window", float, DEFAULTS["window"]),
-        duration=take("duration", float, DEFAULTS["duration"]),
-        seed=take("seed", int, DEFAULTS["seed"]),
+        **{key: setting(key) for key in _SETTINGS},
         out_dir=take("out", str, None),
     )
-    if cfg.samples < 16:
-        raise ConfigError("samples must be at least 16", entries["samples"][1])
-    if cfg.seed < 0:  # the default is not, so the key was given
-        raise ConfigError("seed must be non-negative", entries["seed"][1])
-    for key in ("waist", "pair_rate", "window", "duration"):
-        if getattr(cfg, key) <= 0:  # defaults are positive, so the key was given
-            raise ConfigError(f"{key} must be positive", entries[key][1])
-    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -350,7 +336,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             estimate = mle_reconstruct(record)
             rho, converged = estimate.rho, estimate.converged
             qc = average_quantum_contrast(record)
-            result = pullback_skyrmion_number(rho, bloch)
+            result = pullback_skyrmion_number(rho, coeffs, bloch)
         else:
             result = next(numbers)
         witnesses = witness_report(rho, cfg.state)
@@ -420,8 +406,7 @@ def run_topology_gallery(
     otherwise the noisy file has its own body with the grown degenerate set
     zeroed.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_weight(p)
     # every state's window, and so its charges, is checked before any file is written
     grids = [suggested_grid(spec, samples, waist=waist) for spec in specs]
     rows = []
@@ -496,24 +481,33 @@ def _add_state_args(p):
     p.add_argument("--p", type=float, default=1.0, help="isotropic channel weight in [0, 1]")
 
 
-def _check_positive_finite(args, *flags) -> None:
-    for flag in flags:
-        if not 0 < getattr(args, flag) < math.inf:  # also rejects nan
-            raise ConfigError(f"--{flag.replace('_', '-')} must be positive and finite")
+def _add_settings(p, *names) -> None:
+    for name in names:
+        cast, default, _, _ = _SETTINGS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=cast, default=default)
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ConfigError("--seed must be non-negative")
+def _check_flags(args) -> None:
+    """Hold each flag of a setting that the parsed command has to the setting's condition."""
+    for name, (cast, _, condition, holds) in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None or value == "auto":
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name == "half_width":
+            try:
+                value = args.half_width = float(value)
+            except ValueError:
+                raise ConfigError(f"{flag} must be a number or 'auto', got {value!r}") from None
+        finite = cast is not float or math.isfinite(value)  # an int may not fit a float
+        if not (finite and holds(value)):
+            also = " and finite" if cast is float else ""
+            raise ConfigError(f"{flag} must be {condition}{also}")
 
 
 def _half_width_arg(args) -> float | None:
     """``--half-width`` in length units, or None for the auto window."""
-    try:
-        return None if args.half_width == "auto" else float(args.half_width) * args.waist
-    except ValueError:
-        raise ConfigError("--half-width must be a number or 'auto', "
-                          f"got {args.half_width!r}") from None
+    return None if args.half_width == "auto" else args.half_width * args.waist
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,10 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sky = sub.add_parser("skyrmion", help="compute one Skyrmion number")
     _add_state_args(p_sky)
-    p_sky.add_argument("--samples", type=int, default=DEFAULTS["samples"])
+    _add_settings(p_sky, "samples")
     p_sky.add_argument("--half-width", dest="half_width", default="auto",
                        help="window half-width in waist units, or 'auto'")
-    p_sky.add_argument("--waist", type=float, default=DEFAULTS["waist"])
+    _add_settings(p_sky, "waist")
     p_sky.add_argument("--density-out", dest="density_out", default=None,
                        help="write the charge density as CSV")
 
@@ -544,17 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gal.add_argument("--state", action="append", required=True, metavar="L1,L2[,DELTA]",
                        help="repeatable state spec")
     p_gal.add_argument("--p", type=float, default=0.5)
-    p_gal.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-    p_gal.add_argument("--waist", type=float, default=DEFAULTS["waist"])
+    _add_settings(p_gal, "samples", "waist")
     p_gal.add_argument("--out", default=None, help="output directory")
 
     p_tomo = sub.add_parser("tomo", help="simulate and reconstruct one record")
     _add_state_args(p_tomo)
-    p_tomo.add_argument("--pair-rate", dest="pair_rate", type=float,
-                        default=DEFAULTS["pair_rate"])
-    p_tomo.add_argument("--window", type=float, default=DEFAULTS["window"])
-    p_tomo.add_argument("--duration", type=float, default=DEFAULTS["duration"])
-    p_tomo.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    _add_settings(p_tomo, "pair_rate", "window", "duration", "seed")
     p_tomo.add_argument("--deterministic", action="store_true")
     p_tomo.add_argument("--out", default=None, help="write the record CSV here")
 
@@ -563,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--resolutions", default="64,128,256",
                         help="comma-separated samples-per-axis list")
     p_conv.add_argument("--half-width", dest="half_width", default="auto")
-    p_conv.add_argument("--waist", type=float, default=DEFAULTS["waist"])
+    _add_settings(p_conv, "waist")
     p_conv.add_argument("--out", default=None, help="output CSV path")
 
     return parser
@@ -572,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_state(rho, target: HybridStateSpec) -> None:
     """The density matrix and its witnesses against the pure target state."""
     witnesses = witness_report(rho, target)
-    np.set_printoptions(precision=4, suppress=True)
-    print(rho.matrix)
+    with np.printoptions(precision=4, suppress=True):
+        print(rho.matrix)
     print(f"purity      = {witnesses.purity:.6f}")
     print(f"concurrence = {witnesses.concurrence:.6f}")
     print(f"fidelity    = {witnesses.fidelity:.6f}")
@@ -589,7 +578,6 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_skyrmion(args) -> int:
-    _check_positive_finite(args, "waist")
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     grid = _window_grid(state, args.samples, _half_width_arg(args), waist=args.waist)
     result = skyrmion_number(texture_for_state(state, args.p, grid, waist=args.waist))
@@ -606,7 +594,6 @@ def _cmd_skyrmion(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_seed(args.seed)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -636,7 +623,6 @@ def _parse_state_arg(raw: str) -> HybridStateSpec:
 
 
 def _cmd_gallery(args) -> int:
-    _check_positive_finite(args, "waist")
     specs = [_parse_state_arg(s) for s in args.state]
     rows = run_topology_gallery(specs, args.p, samples=args.samples,
                                 waist=args.waist, out_dir=args.out)
@@ -647,8 +633,6 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    _check_positive_finite(args, "pair_rate", "window", "duration")
-    _check_seed(args.seed)
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
     record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)
@@ -664,7 +648,6 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    _check_positive_finite(args, "waist")
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     try:
         resolutions = [int(v) for v in args.resolutions.split(",") if v.strip()]
@@ -692,6 +675,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

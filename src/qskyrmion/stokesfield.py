@@ -91,7 +91,12 @@ def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     c = (K_0 + K_1)/2.
     """
     k = _stokes_map(rho)[:, 1:]
-    return np.stack([k[2], k[3], (k[0] - k[1]) / 2.0], axis=1), (k[0] + k[1]) / 2.0
+    return _bloch_matrix(k), (k[0] + k[1]) / 2.0
+
+
+def _bloch_matrix(k: np.ndarray) -> np.ndarray:
+    """M of :func:`_stokes_affine` from the rows of K over columns 1..3."""
+    return np.stack([k[2], k[3], (k[0] - k[1]) / 2.0], axis=1)
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:

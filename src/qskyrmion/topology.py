@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .biphoton import HybridStateSpec, apply_isotropic_noise, pure_state
+from .biphoton import HybridStateSpec, _check_weight, apply_isotropic_noise, pure_state
 from .lgmodes import CoeffField, GridSpec, check_charge, check_waist, coeff_field
 from .stokesfield import (
     DEGENERACY_EPS,
     UnitVectorField,
-    _stokes_affine,
+    _bloch_matrix,
+    _stokes_map,
     normalize_stokes,
     stokes_field,
 )
@@ -224,8 +225,7 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     """
     weights = [float(p) for p in weights]
     for p in weights:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
+        _check_weight(p)
     raw = stokes_field(rho, coeffs)
     norm, field = raw.vector_norm(), normalize_stokes(raw)
     del raw  # the (n, n, 4) Stokes array is not held through the density's temporaries
@@ -247,19 +247,20 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     return outputs()
 
 
-def pullback_skyrmion_number(rho, bloch: SkyrmionResult) -> SkyrmionResult:
+def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> SkyrmionResult:
     """Skyrmion number of the texture of ``rho``, pulled back from the Bloch texture's.
 
-    Over the grid of ``bloch``, the Stokes vectors of any state are
+    Over the grid of ``coeffs``, the Stokes vectors of any state are S = h K
+    on its homogeneous coordinates h (as :func:`stokes_field` reads them) and
     S = M n + c on the OAM Bloch vectors n (``stokesfield.bloch_texture``),
-    so the unit texture S/|S| is a map of n, and its density is the density
-    of n times the area Jacobian of that map,
-    J(n) = (det M + n . adj(M) c) / |M n + c|^3.  The adjugate, not the
-    inverse, keeps det M = 0 free of a branch.  The difference stencil runs
+    so the unit texture S/|S| is a map of n.  Its density is the density of
+    n times the area Jacobian J(n) = (cof(M) n) . S / |S|^3, which is
+    (det M + n . adj(M) c) / |S|^3 for unit n; the cofactors, not the
+    inverse, keep det M = 0 free of a branch.  The difference stencil runs
     once, on n, in ``bloch``; each state then costs a few (n, n) products.
 
-    The degenerate set (|M n + c| < DEGENERACY_EPS, with the envelope mask)
-    is applied as :func:`skyrmion_number` applies it to
+    The degenerate set (|S| < DEGENERACY_EPS, with the envelope mask) is
+    applied as :func:`skyrmion_number` applies it to
     ``normalize_stokes(stokes_field(rho, coeffs))``: the density is zero on
     the set's stencil footprint, and a set covering every point gives
     exactly 0.  Where the grid resolves the texture, the number differs
@@ -273,8 +274,9 @@ def pullback_skyrmion_number(rho, bloch: SkyrmionResult) -> SkyrmionResult:
     Parameters
     ----------
     rho : DensityMatrix4 or (4, 4) array
+    coeffs : CoeffField
     bloch : SkyrmionResult
-        ``skyrmion_number(bloch_texture(coeffs))`` of the grid's coefficients.
+        ``skyrmion_number(bloch_texture(coeffs))``; one on another grid raises.
 
     Returns
     -------
@@ -283,21 +285,25 @@ def pullback_skyrmion_number(rho, bloch: SkyrmionResult) -> SkyrmionResult:
         the Bloch texture of ``bloch`` as ``field``.
     """
     field = bloch.field
+    if field.grid != coeffs.grid:
+        raise ValueError("bloch must be the Bloch texture's result on the grid of coeffs")
     shape = field.mask.shape
-    m, c = _stokes_affine(rho)
-    n = field.vectors.reshape(-1, 3)
-    stokes = m @ n.T  # rows S1, S2, S3
-    stokes += c[:, None]
-    stokes *= stokes
-    norm2 = stokes.sum(axis=0).reshape(shape)
-    del stokes  # the (3, n^2) array is not held through the density's temporaries
-    norm = np.sqrt(norm2)
-    degenerate = (norm < DEGENERACY_EPS) | field.mask
+    k = _stokes_map(rho)[:, 1:]
+    m = _bloch_matrix(k)
     i, j = [1, 2, 0], [2, 0, 1]
     cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
+    # rows S1..S3, then cof(M) n, in one block: a state allocates one large array, not two
+    rows = np.empty((6, field.mask.size))
+    np.matmul(k.T, coeffs.coords.T, out=rows[:3])
+    np.matmul(cofactors, field.vectors.reshape(-1, 3).T, out=rows[3:])
+    rows[3:] *= rows[:3]
+    density = rows[3:].sum(axis=0).reshape(shape)
+    rows[:3] *= rows[:3]
+    norm2 = rows[:3].sum(axis=0).reshape(shape)
+    del rows  # the (6, n^2) block is not held through the density's temporaries
+    norm = np.sqrt(norm2)
+    degenerate = (norm < DEGENERACY_EPS) | field.mask
     norm[degenerate] = norm2[degenerate] = 1.0
-    density = (n @ (cofactors.T @ c)).reshape(shape)  # n . adj(M) c
-    density += cofactors[0] @ m[0]  # det M
     density /= norm2 * norm
     density *= bloch.density
     return _result(density, degenerate, field, field.mask)

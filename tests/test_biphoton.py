@@ -15,6 +15,7 @@ from qskyrmion import (
     pure_state,
     purity,
 )
+from qskyrmion import GridSpec, coeff_field, simulate_counts, stokes_field, witness_report
 from qskyrmion.biphoton import _contrast_to_purity_quadratic
 
 
@@ -122,6 +123,26 @@ class TestDensityMatrix4:
             DensityMatrix4(m)
         reported = DensityMatrix4(m, require_physical=False)
         assert reported.min_eigenvalue == pytest.approx(-0.05, abs=1e-12)
+
+
+# each entry point of a 4x4 density matrix, fed a matrix with one non-finite coherence
+NONFINITE_ENTRY_POINTS = {
+    "DensityMatrix4": DensityMatrix4,
+    "purity": purity,
+    "stokes_field": lambda m: stokes_field(m, coeff_field(HybridStateSpec(0, 1),
+                                                          GridSpec(3.0, 16))),
+    "simulate_counts": lambda m: simulate_counts(m, pair_rate=1e5, seed=1),
+    "witness_report": lambda m: witness_report(m, HybridStateSpec(0, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NONFINITE_ENTRY_POINTS))
+def test_non_finite_density_matrix_fails_by_name(entry):
+    for bad in (math.nan, math.inf):
+        m = pure_state(HybridStateSpec(0, 1)).matrix.copy()
+        m[0, 3] = m[3, 0] = bad
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            NONFINITE_ENTRY_POINTS[entry](m)
 
 
 class TestContrastRelations:

@@ -368,6 +368,19 @@ def grid_lines(grid, values):
             for i in range(n) for j in range(n)]
 
 
+@pytest.mark.parametrize("argv,first_row", [
+    (["state", "--ell1", "0", "--ell2", "1"], "[[0.5+0.j 0. +0.j 0. +0.j 0.5+0.j]"),
+    (["tomo", "--ell1", "0", "--ell2", "1", "--deterministic"],
+     "[[ 0.5+0.j -0. +0.j -0. -0.j  0.5+0.j]"),
+], ids=["state", "tomo"])
+def test_printed_matrix_leaves_print_options_as_they_were(capsys, argv, first_row):
+    before = np.get_printoptions()
+    assert main(argv) == 0
+    assert np.get_printoptions() == before
+    # the matrix itself still prints at 4 digits with rounding-level entries suppressed
+    assert first_row in capsys.readouterr().out.splitlines()
+
+
 class TestCsvContent:
     """Every data line equals the .12g formatting of values recomputed
     through the public pipeline."""

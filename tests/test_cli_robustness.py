@@ -27,6 +27,7 @@ from qskyrmion import (
     record_to_csv,
     simulate_counts,
 )
+from qskyrmion import cli
 from qskyrmion.cli import MAX_SWEEP_POINTS, ConfigError, load_config, main
 from qskyrmion.lgmodes import MAX_CHARGE
 
@@ -277,3 +278,49 @@ def test_half_width_that_is_not_a_number_names_the_flag(capsys, command, extra):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --half-width must be a number or 'auto', got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["skyrmion", "--ell1", "0", "--ell2", "1"],
+    ["gallery", "--state", "0,1"],
+], ids=["skyrmion", "gallery"])
+def test_too_few_samples_names_the_flag(tmp_path, capsys, argv):
+    out = tmp_path / "s8"
+    extra = ["--out", str(out)] if argv[0] == "gallery" else []
+    assert main([*argv, "--samples", "8", *extra]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: --samples must be at least 16\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "inf", "nan"])
+@pytest.mark.parametrize("command,extra", [
+    ("skyrmion", ["--samples", "32"]),
+    ("converge", ["--resolutions", "32"]),
+])
+def test_half_width_not_positive_and_finite_names_the_flag(capsys, command, extra, value):
+    argv = [command, "--ell1", "0", "--ell2", "1", f"--half-width={value}", *extra]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --half-width must be positive and finite\n"
+
+
+def test_gallery_weight_that_is_not_a_number_is_named(tmp_path, capsys):
+    out = tmp_path / "gal"
+    argv = ["gallery", "--state", "0,1", "--samples", "16", "--p", "nan", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: noise weight p must lie in [0, 1], got nan\n"
+    assert not out.exists()
+
+
+def test_every_setting_default_meets_its_condition():
+    for name, (cast, default, _, holds) in cli._SETTINGS.items():
+        assert type(default) is cast and holds(default), name
+
+
+def test_tomo_seed_beyond_float_range_runs(capsys):
+    # an integer flag is never passed to math.isfinite, which would overflow
+    assert main(["tomo", "--ell1", "0", "--ell2", "1", "--seed", "9" * 400]) == 0
+    assert "mle: iterations=" in capsys.readouterr().out

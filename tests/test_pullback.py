@@ -94,7 +94,7 @@ def resolved(rho, coeffs, bloch):
     rank and the number is resolved: the chain's residual is below 1e-2 and
     the two methods agree within it."""
     assume(determinant(_stokes_affine(rho)[0]) is not None)
-    got, ref = pullback_skyrmion_number(rho, bloch), chain(rho, coeffs)
+    got, ref = pullback_skyrmion_number(rho, coeffs, bloch), chain(rho, coeffs)
     assume(ref.residual < 1e-2 and abs(got.number - ref.number) < 1e-2)
     return got
 
@@ -124,7 +124,7 @@ def test_channel_outputs_match_the_chain(ell1, ell2, delta, samples):
     bloch = bloch_of(coeffs)
     for p in (1.0, 0.5, 0.1, 1e-3):
         rho = apply_isotropic_noise(pure_state(spec), p)
-        got, ref = pullback_skyrmion_number(rho, bloch), chain(rho, coeffs)
+        got, ref = pullback_skyrmion_number(rho, coeffs, bloch), chain(rho, coeffs)
         assert abs(got.number - ref.number) <= 1e-12
         assert got.masked_fraction == ref.masked_fraction
         assert got.rounded == ref.rounded
@@ -145,7 +145,7 @@ def test_closed_form_index_of_channel_outputs(ell1, ell2, delta):
 def test_arbitrary_states_round_as_the_chain_does(parts, charges):
     rho = ginibre_state(parts)
     coeffs = coeff_field(HybridStateSpec(*charges), GRID)
-    got, ref = pullback_skyrmion_number(rho, bloch_of(coeffs)), chain(rho, coeffs)
+    got, ref = pullback_skyrmion_number(rho, coeffs, bloch_of(coeffs)), chain(rho, coeffs)
     assert got.masked_fraction == ref.masked_fraction
     # A small FD residual is no certificate on its own.  Near the surface
     # neither method is resolved (at margin -0.0099 FD read 0.0083 against
@@ -168,10 +168,37 @@ def test_local_polarization_unitary_keeps_number_exactly(parts, charges, u_parts
     coeffs = coeff_field(HybridStateSpec(*charges), GRID)
     bloch = bloch_of(coeffs)
     base = resolved(rho, coeffs, bloch)
-    turned = pullback_skyrmion_number(local @ rho @ local.conj().T, bloch)
+    turned = pullback_skyrmion_number(local @ rho @ local.conj().T, coeffs, bloch)
     # the degeneracy cut is absolute, so rounding may move a point across it
     assume(turned.masked_fraction == base.masked_fraction)
     assert turned.number == pytest.approx(base.number, abs=1e-12)
+
+
+def test_recorded_local_polarization_unitary_example():
+    # a stored Hypothesis example of the test above, which once read 5.9e-12
+    parts = np.full((2, 4, 4), 1e-5)
+    parts[0, 1, 3] = 0.25
+    parts[0, 2, 0] = parts[0, 3, 3] = 1.0
+    parts[1, 3, 3] = 0.5
+    g = parts[0] + 1j * parts[1]
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real  # as ginibre_state forms it
+    z = np.array([[0, 1], [1, 1]]) + 1j * np.array([[1, 1], [1, 1]])
+    local = np.kron(np.eye(2), np.linalg.qr(z)[0])
+    coeffs = coeff_field(HybridStateSpec(1, 3), GRID)
+    bloch = bloch_of(coeffs)
+    base = pullback_skyrmion_number(rho, coeffs, bloch)
+    turned = pullback_skyrmion_number(local @ rho @ local.conj().T, coeffs, bloch)
+    assert turned.masked_fraction == base.masked_fraction
+    assert turned.number == pytest.approx(base.number, abs=1e-12)
+
+
+def test_bloch_result_of_another_grid_is_rejected():
+    spec = HybridStateSpec(0, 2)
+    coeffs = coeff_field(spec, GRID)
+    other = bloch_of(coeff_field(spec, GridSpec(7.0, 48)))
+    with pytest.raises(ValueError, match="grid of coeffs"):
+        pullback_skyrmion_number(pure_state(spec), coeffs, other)
 
 
 @given(parts=GINIBRE, charges=CHARGES, p=st.floats(1e-2, 1.0))
@@ -182,7 +209,7 @@ def test_isotropic_mixing_keeps_number_exactly(parts, charges, p):
     coeffs = coeff_field(HybridStateSpec(*charges), GRID)
     bloch = bloch_of(coeffs)
     base = resolved(rho, coeffs, bloch)
-    mixed = pullback_skyrmion_number(p * rho + (1.0 - p) * np.eye(4) / 4.0, bloch)
+    mixed = pullback_skyrmion_number(p * rho + (1.0 - p) * np.eye(4) / 4.0, coeffs, bloch)
     assume(mixed.masked_fraction == base.masked_fraction)
     assert mixed.number == pytest.approx(base.number, abs=1e-12)
 
@@ -191,7 +218,7 @@ def test_maximally_mixed_state_has_number_zero():
     coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(8.0, 32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = pullback_skyrmion_number(np.eye(4) / 4.0, bloch_of(coeffs))
+        result = pullback_skyrmion_number(np.eye(4) / 4.0, coeffs, bloch_of(coeffs))
     assert (result.number, result.rounded, result.residual) == (0.0, 0, 0.0)
     assert result.masked_fraction == 1.0
     assert not result.density.any()
@@ -208,7 +235,7 @@ def test_grown_degenerate_set_zeroes_its_stencil_footprint():
     assert degenerate.any() and not degenerate.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = pullback_skyrmion_number(rho, bloch_of(coeffs))
+        result = pullback_skyrmion_number(rho, coeffs, bloch_of(coeffs))
     ref = chain(rho, coeffs)
     assert result.masked_fraction == ref.masked_fraction == degenerate.mean()
     footprint = _stencil_footprint(degenerate)
@@ -227,6 +254,6 @@ def test_rank_deficient_map_needs_no_inverse():
     assert np.linalg.matrix_rank(m) < 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = pullback_skyrmion_number(rho, bloch_of(coeffs))
+        result = pullback_skyrmion_number(rho, coeffs, bloch_of(coeffs))
     assert result.number == pytest.approx(chain(rho, coeffs).number, abs=1e-12)
     assert result.rounded == 0
