@@ -562,7 +562,8 @@ def _print_state(rho, target: HybridStateSpec) -> None:
     """The density matrix and its witnesses against the pure target state."""
     witnesses = witness_report(rho, target)
     with np.printoptions(precision=4, suppress=True):
-        print(rho.matrix)
+        # + 0j turns the -0 of rounding-level entries into 0, so signs do not flicker
+        print(np.round(rho.matrix, 4) + 0j)
     print(f"purity      = {witnesses.purity:.6f}")
     print(f"concurrence = {witnesses.concurrence:.6f}")
     print(f"fidelity    = {witnesses.fidelity:.6f}")
@@ -655,6 +656,10 @@ def _cmd_converge(args) -> int:
         raise ConfigError(f"cannot parse resolutions {args.resolutions!r}") from None
     if not resolutions:
         raise ConfigError("resolution list is empty")
+    _, _, condition, holds = _SETTINGS["samples"]
+    for samples in resolutions:
+        if not holds(samples):
+            raise ConfigError(f"--resolutions entries must be {condition}, got {samples}")
     rows = run_convergence(state, resolutions, p=args.p, half_width=_half_width_arg(args),
                            waist=args.waist, out=args.out)
     sys.stdout.writelines(_csv_chunks(_CONVERGENCE_COLUMNS, [astuple(row) for row in rows]))

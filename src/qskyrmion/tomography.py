@@ -74,6 +74,8 @@ def settings_36() -> list[MeasurementSetting]:
 
 _SETTINGS = settings_36()
 _PROJECTORS = np.array([s.projector() for s in _SETTINGS])
+# each projector is rank one, Pi_k = v_k v_k^dag with v_k = state_a (x) state_b
+_VECTORS = np.array([np.kron(s.state_a, s.state_b) for s in _SETTINGS])
 
 
 @dataclass
@@ -176,10 +178,9 @@ def simulate_counts(
     singles_b = np.maximum(duration * (pair_rate * p_b + noise_rate_b), 0.0)
     coinc = np.maximum(duration * pair_rate * p_joint + window * singles_a * singles_b, 0.0)
     if mode == "poisson":
-        rng = np.random.default_rng(seed)
-        singles_a = rng.poisson(singles_a).astype(float)
-        singles_b = rng.poisson(singles_b).astype(float)
-        coinc = rng.poisson(coinc).astype(float)
+        # one draw over all 108 counts, in the order of three successive draws
+        draws = np.random.default_rng(seed).poisson(np.concatenate([singles_a, singles_b, coinc]))
+        singles_a, singles_b, coinc = np.split(draws.astype(float), 3)
     return TomographyRecord(
         coincidences=coinc, singles_a=singles_a, singles_b=singles_b,
         window=window, duration=duration, pair_rate=pair_rate,
@@ -308,16 +309,18 @@ def _nll_grad(rho, counts, background, scale, projectors=_PROJECTORS):
     """
     mu = _expected_counts(rho, background, scale, projectors)
     seen = counts > 0
-    if np.any(mu[seen] <= 0):
+    if np.any((mu <= 0) & seen):
         return math.inf, None
-    excess = np.divide(mu - counts, counts, out=np.zeros_like(mu), where=seen)
+    diff = mu - counts
+    excess = np.divide(diff, counts, out=np.zeros_like(mu), where=seen)
     log_ratio = np.log(np.divide(mu, counts, out=np.ones_like(mu), where=seen))
-    # near mu = c, c (x - log1p(x)) with x = mu/c - 1 keeps the precision
-    # that cancellation in mu - c - c log(mu/c) loses when mu and c are ~1e6
+    # near mu = c, c log1p(x) with x = mu/c - 1 keeps the precision that
+    # cancellation in mu - c - c log(mu/c) loses when mu and c are ~1e6
     np.log1p(excess, out=log_ratio, where=excess > -0.5)
-    nll = float(np.sum(np.where(seen, counts * (excess - log_ratio), mu)))
-    weights = scale * np.divide(mu - counts, mu, out=np.ones_like(mu), where=seen)
-    gmat = (weights @ projectors.reshape(len(projectors), 16)).reshape(4, 4)
+    # a setting without counts has log_ratio 0 and adds mu
+    nll = float(np.sum(diff - counts * log_ratio))
+    weights = np.divide(diff, mu, out=np.ones_like(mu), where=seen)
+    gmat = scale * (weights @ projectors.reshape(len(projectors), 16)).reshape(4, 4)
     return nll, gmat
 
 
@@ -354,7 +357,8 @@ def _project(mat):
 
 def _factor_coordinates(rank):
     """Real coordinates of a lower-trapezoidal (4, rank) factor with a real
-    diagonal: row, column and unit (1 or 1j) of each."""
+    diagonal: row, column and unit (1 or 1j) of each, the real parts of all
+    entries first and then the imaginary parts of the off-diagonal ones."""
     rows, cols = np.tril_indices(4, 0, rank)
     off = rows != cols
     return (np.concatenate([rows, rows[off]]), np.concatenate([cols, cols[off]]),
@@ -373,30 +377,36 @@ _MLE_TOL = 1e-9
 _NLL_RESOLUTION = 1e-12
 
 
+def _rotated_projectors(evecs, rows, cols):
+    """Entries (cols, rows) of every projector in the basis ``evecs``,
+    (evecs^dag Pi_k evecs)[c, r] = <e_c|v_k><v_k|e_r>, as a (36, len(rows))
+    array from one (36, 4) @ (4, 4) product."""
+    w = _VECTORS @ evecs.conj()
+    return w[:, cols] * w[:, rows].conj()
+
+
 def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
     """Newton step over the density matrices of the rank of ``rho``.
 
     Projected gradient alone converges slowly where the optimum is rank
     deficient and eigenvectors of small weight still have to turn.  In the
-    eigenbasis of rho, nearby states of its rank r are A A^dag / |A|^2 with
-    A lower trapezoidal (4, r) and real diagonal, and rho itself is
-    A0 = diag(sqrt(evals)).  The model is the Hessian of the likelihood
-    through the first-order change of rho, plus Tr((G - nu I) dA dA^dag)
-    from its second-order change (nu = Tr(G rho), the multiplier of the unit
-    trace), solved with the trace held fixed to first order.  Returns the
-    new (rho, nll, G) after an Armijo backtrack along the step, or None if
-    the step does not descend.
+    eigenbasis of rho (``evals`` ascending, exact zeros off its support),
+    nearby states of its rank r are A A^dag / |A|^2 with A lower trapezoidal
+    (4, r) and real diagonal, and rho itself is A0 = diag(sqrt(evals)).  The
+    model is the Hessian of the likelihood through the first-order change of
+    rho, plus Tr((G - nu I) dA dA^dag) from its second-order change
+    (nu = Tr(G rho), the multiplier of the unit trace), solved with the trace
+    held fixed to first order.  Returns the new (rho, nll, G, r) after an
+    Armijo backtrack along the step, or None if the step does not descend.
     """
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > 0))
     rows, cols, units = _FACTOR_COORDINATES[rank]
-    proj = evecs.conj().T @ _PROJECTORS @ evecs
     grot = evecs.conj().T @ gmat @ evecs
     nu = float(evals @ grot.diagonal().real)
     weight = 2.0 * np.sqrt(evals[cols])
     # d rho / d theta_j = sqrt(evals_col) (u e_{row,col} + conj(u) e_{col,row})
-    jac = scale * weight * (units * proj[:, cols, rows]).real
+    jac = scale * weight * (units * _rotated_projectors(evecs, rows, cols)).real
     grad = weight * (units * grot[cols, rows]).real
     trace = np.where(rows == cols, weight, 0.0)
     mu = _expected_counts(rho, background, scale)
@@ -417,8 +427,12 @@ def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
     if not slope < 0:
         return None
     factor = evecs[:, :rank] * np.sqrt(evals[:rank])
+    # the first coordinates address each of the (size + rank) / 2 entries of
+    # A once, the rest each off-diagonal entry once more
+    entries = (size + rank) // 2
     step_dir = np.zeros((4, rank), dtype=complex)
-    np.add.at(step_dir, (rows, cols), theta * units)
+    step_dir[rows[:entries], cols[:entries]] = theta[:entries]
+    step_dir[rows[entries:], cols[entries:]] += 1j * theta[entries:]
     step_dir = evecs @ step_dir
     slack = _NLL_RESOLUTION * (1.0 + nll)
     step = 1.0
@@ -428,7 +442,7 @@ def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
         new /= np.trace(new).real
         new_nll, new_gmat = _nll_grad(new, counts, background, scale)
         if new_nll <= nll + 1e-4 * step * slope + slack:
-            return new, new_nll, new_gmat
+            return new, new_nll, new_gmat, rank
         step *= 0.5
     return None
 
@@ -464,11 +478,14 @@ def mle_reconstruct(
 
     Maximizes the Poisson log-likelihood of the coincidence counts with the
     per-setting accidental estimate as a known background.  The signal
-    scale is estimated from the record totals.  Each iteration takes one
-    projected-gradient step from rho (its curvature estimate is halved,
+    scale is estimated from the record totals.  The iterate starts at
+    ``init`` projected onto the density matrices.  Each iteration takes one
+    Newton step over the states of the iterate's rank or, where that step
+    does not descend or the previous Newton step did not halve the KKT gap,
+    one projected-gradient step instead (its curvature estimate is halved,
     then doubled until the step passes the sufficient-decrease test; the
     projection is an eigendecomposition whose eigenvalues are projected
-    onto the simplex), then one Newton step at the rank of the iterate.
+    onto the simplex).
     The loop stops when the gradient step makes no descent, or once the
     KKT gap Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k
     the gradient, is at most 1e-9 times the total coincidence count (at
@@ -495,34 +512,46 @@ def mle_reconstruct(
         except ValueError:
             init = DensityMatrix4(np.eye(4) / 4.0, require_physical=False)
     args = (counts, background, scale)
-    rho = _project(init.matrix)[0]
+    rho, evals, evecs = _project(init.matrix)
     nll, gmat = _nll_grad(rho, *args)
     if gmat is None:  # a setting with counts has no expected counts: mix in I/4
         rho = 0.99 * rho + 0.0025 * np.eye(4)
+        evals = 0.99 * evals + 0.0025
         nll, gmat = _nll_grad(rho, *args)
     tol_abs = _MLE_TOL * max(counts.sum(), 1.0)  # a record without counts is optimal anywhere
     lipschitz = scale
     gap = _kkt_gap(rho, gmat)
+    try_newton = True
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        slack = _NLL_RESOLUTION * (1.0 + nll)
-        lipschitz *= 0.5  # the step may grow again once past a steep region
-        for _ in range(_GRADIENT_BACKTRACKS):
-            new, evals, evecs = _project(rho - gmat / lipschitz)
-            new_nll, new_gmat = _nll_grad(new, *args)
-            diff = new - rho
-            if new_nll <= (nll + np.vdot(gmat, diff).real
-                           + 0.5 * lipschitz * np.vdot(diff, diff).real + slack):
+        step = _newton_step(rho, evals, evecs, gmat, nll, *args) if try_newton else None
+        if step is not None:
+            rho, nll, gmat, rank = step
+            new_gap = _kkt_gap(rho, gmat)
+            try_newton = new_gap <= 0.5 * gap
+            gap = new_gap
+            if try_newton and gap > tol_abs:  # the next step is a Newton step
+                # rho = A A^dag / |A|^2 has rank r exactly; its other
+                # eigenvalues come back as +-1e-17
+                evals, evecs = np.linalg.eigh(rho)
+                evals[:4 - rank] = 0.0
+        else:
+            slack = _NLL_RESOLUTION * (1.0 + nll)
+            lipschitz *= 0.5  # the step may grow again once past a steep region
+            for _ in range(_GRADIENT_BACKTRACKS):
+                new, evals, evecs = _project(rho - gmat / lipschitz)
+                new_nll, new_gmat = _nll_grad(new, *args)
+                diff = new - rho
+                if new_nll <= (nll + np.vdot(gmat, diff).real
+                               + 0.5 * lipschitz * np.vdot(diff, diff).real + slack):
+                    break
+                lipschitz *= 2.0
+            if not new_nll <= nll + slack:  # no descent
                 break
-            lipschitz *= 2.0
-        if not new_nll <= nll + slack:  # no descent
-            break
-        rho, nll, gmat = new, new_nll, new_gmat
-        newton = _newton_step(rho, evals, evecs, gmat, nll, *args)
-        if newton is not None:
-            rho, nll, gmat = newton
-        gap = _kkt_gap(rho, gmat)
+            rho, nll, gmat = new, new_nll, new_gmat
+            gap = _kkt_gap(rho, gmat)
+            try_newton = True
         if gap <= tol_abs:
             break
     converged = bool(gap <= tol_abs)
@@ -553,9 +582,9 @@ def concurrence(rho) -> float:
     states, 1 for Bell states.
     """
     m = _as_matrix(rho)
-    evals = np.linalg.eigvalsh(m)
-    if evals[0] < -1e-8:
-        raise ValueError(f"concurrence needs a physical state (min eigenvalue {evals[0]:.3e})")
+    low = rho.min_eigenvalue if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[0]
+    if low < -1e-8:
+        raise ValueError(f"concurrence needs a physical state (min eigenvalue {low:.3e})")
     flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     lam = np.linalg.eigvals(m @ flipped)
     lam = np.sqrt(np.clip(lam.real, 0.0, None))

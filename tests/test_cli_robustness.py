@@ -294,6 +294,19 @@ def test_too_few_samples_names_the_flag(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolutions,bad", [("8,64", 8), ("64,15", 15)])
+def test_too_few_resolution_samples_names_the_flag(tmp_path, capsys, resolutions, bad):
+    # every entry is held to the --samples condition before any scan runs
+    out = tmp_path / "conv.csv"
+    argv = ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", resolutions,
+            "--out", str(out)]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: --resolutions entries must be at least 16, got {bad}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "inf", "nan"])
 @pytest.mark.parametrize("command,extra", [
     ("skyrmion", ["--samples", "32"]),

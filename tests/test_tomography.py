@@ -31,12 +31,16 @@ from qskyrmion import (
     simulate_counts,
     witness_report,
 )
+from qskyrmion import tomography
 from qskyrmion.tomography import (
     _DESIGN,
+    _FACTOR_COORDINATES,
     _cholesky_to_params,
     _params_to_cholesky,
     _poisson_nll_grad,
     _PROJECTORS,
+    _rotated_projectors,
+    _VECTORS,
 )
 
 WINDOW = 25e-9
@@ -107,6 +111,19 @@ class TestSimulateCounts:
         np.testing.assert_array_equal(a.coincidences, b.coincidences)
         c = make_record(channel(0.7), noise=1e4, mode="poisson", seed=12)
         assert not np.array_equal(a.coincidences, c.coincidences)
+
+    @pytest.mark.parametrize("pair_rate,noise", [(1e5, 3e4), (20.0, 3.0), (0.5, 0.0)])
+    def test_poisson_record_is_three_successive_draws(self, pair_rate, noise):
+        # singles A, singles B, then coincidences, each from the seeded stream in
+        # turn; rates of 20 and 0.5 Hz reach numpy's small-mean sampler too
+        rho = channel(0.6, HybridStateSpec(0, 2, 0.4))
+        expected = make_record(rho, pair_rate=pair_rate, noise=noise)
+        for seed in (0, 7, 123456):
+            rec = make_record(rho, pair_rate=pair_rate, noise=noise, mode="poisson", seed=seed)
+            rng = np.random.default_rng(seed)
+            for name in ("singles_a", "singles_b", "coincidences"):
+                draw = rng.poisson(getattr(expected, name)).astype(float)
+                assert getattr(rec, name).tobytes() == draw.tobytes()
 
     def test_rejects_bad_rates_and_durations(self):
         with pytest.raises(ValueError):
@@ -325,6 +342,44 @@ class TestMleReconstruct:
                 grad_fd[k] = (up - dn) / (2 * eps)
             worst = max(worst, np.linalg.norm(grad - grad_fd) / np.linalg.norm(grad_fd))
         assert worst < 1e-6
+
+    def test_projectors_are_outer_products_of_the_vectors(self):
+        outer = np.einsum("ki,kj->kij", _VECTORS, _VECTORS.conj())
+        np.testing.assert_allclose(outer, _PROJECTORS, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_vector_jacobian_matches_rotated_projectors(self, rng, rank):
+        rows, cols, _ = _FACTOR_COORDINATES[rank]
+        for _ in range(20):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            evecs = np.linalg.qr(g)[0]
+            rotated = evecs.conj().T @ _PROJECTORS @ evecs
+            np.testing.assert_allclose(_rotated_projectors(evecs, rows, cols),
+                                       rotated[:, cols, rows], rtol=0, atol=1e-15)
+
+    def test_eigendecomposition_budget(self, monkeypatch):
+        # seeded records of (0, 2, delta = 0.4) at the settings of a tomographic
+        # sweep: the Newton step converges from the projected inversion, and a
+        # gradient step, with its backtracking projections, is the exception
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        spec = HybridStateSpec(0, 2, 0.4)
+        ceiling = 1.0 + 1.0 / (WINDOW * 1e5)
+        records = []
+        for index, p in enumerate(np.linspace(1.0, 0.05, 20)):
+            noise = noise_rate_for_contrast(min(max(contrast_from_p(p), 1.005), ceiling),
+                                            pair_rate=1e5, window=WINDOW)
+            records += [make_record(channel(p, spec), noise=noise, mode="poisson",
+                                    seed=100 * seed + index) for seed in range(3)]
+        monkeypatch.setattr(tomography.np.linalg, "eigh", counting_eigh)
+        for rec in records:
+            assert mle_reconstruct(rec).converged
+        assert len(calls) / len(records) <= 4.0
 
     def test_cholesky_parametrization_roundtrip(self, rng):
         t = rng.normal(size=16)
