@@ -311,36 +311,41 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
     """Run the configured sweep; rows come back in the order of the sweep points.
 
     For a ``qc`` sweep each point is mapped to its channel weight first;
-    every row carries both p and the contrast it implies.  The analytic
-    pipeline's states are channel outputs p rho + (1 - p) I/4, so their
-    Skyrmion numbers share one texture (:func:`channel_skyrmion_numbers`).
-    A tomographic point reconstructs a state that is not a channel output;
-    its texture is still an affine image of the grid's OAM Bloch texture,
-    whose density is built once per sweep, and the point's number is that
-    density pulled back (:func:`pullback_skyrmion_number`).
+    every row carries both p and the contrast it implies.  The sweep runs
+    in two phases, so the 4x4 work and the grid work each run together:
+
+    1. Per point, in order: the state and its witnesses.  An analytic state
+       is the channel output p rho + (1 - p) I/4; a tomographic point
+       reconstructs its record (Poisson seed ``seed`` plus the point's
+       index) with one :func:`mle_reconstruct` call and takes the contrast
+       from the record.
+    2. Per point: the Skyrmion number, and the row.  Channel outputs share
+       one texture (:func:`channel_skyrmion_numbers`); a reconstructed
+       state's texture is an affine image of the grid's OAM Bloch texture,
+       whose density is built once, when this phase starts, and pulled back
+       (:func:`pullback_skyrmion_number`).
     """
     coeffs = coeff_field(cfg.state, cfg.grid(), waist=cfg.waist)
     pure = pure_state(cfg.state)
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
-    if cfg.pipeline == "analytic":
-        numbers = channel_skyrmion_numbers(pure, coeffs, weights)
-    else:
-        bloch = skyrmion_number(bloch_texture(coeffs))
-    rows = []
+    tomographic = cfg.pipeline == "tomographic"
+    states = []
     for index, p in enumerate(weights):
         rho = apply_isotropic_noise(pure, p)
-        qc = contrast_from_p(p)
-        converged = True
-        if cfg.pipeline == "tomographic":
+        qc, converged = contrast_from_p(p), True
+        if tomographic:
             record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
             estimate = mle_reconstruct(record)
             rho, converged = estimate.rho, estimate.converged
             qc = average_quantum_contrast(record)
-            result = pullback_skyrmion_number(rho, coeffs, bloch)
-        else:
-            result = next(numbers)
-        witnesses = witness_report(rho, cfg.state)
-        rows.append(SweepRow(
+        states.append((rho, qc, converged, witness_report(rho, cfg.state)))
+    if tomographic:
+        bloch = skyrmion_number(bloch_texture(coeffs))
+        results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho, *_ in states)
+    else:
+        results = channel_skyrmion_numbers(pure, coeffs, weights)
+    return [
+        SweepRow(
             p=p,
             quantum_contrast=qc,
             purity=witnesses.purity,
@@ -350,8 +355,9 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             residual=result.residual,
             masked_fraction=result.masked_fraction,
             converged=converged,
-        ))
-    return rows
+        )
+        for p, (_, qc, converged, witnesses), result in zip(weights, states, results)
+    ]
 
 
 def _sweep_table(rows: list[SweepRow]) -> list[list[float]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
+from .biphoton import PURITY_TOL, DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
 from .stokesfield import _PAULI
 
 QC_CAP = 1e12
@@ -366,6 +366,13 @@ def _factor_coordinates(rank):
 
 
 _FACTOR_COORDINATES = {rank: _factor_coordinates(rank) for rank in range(1, 5)}
+# what _newton_step needs of the rank alone: the coupling 2 u_i conj(u_j)
+# [col_i == col_j], the diagonal coordinates and the index of (G - nu I)[row_j, row_i]
+_NEWTON_CONSTANTS = {
+    rank: (2.0 * (units[:, None] * units.conj()) * (cols[:, None] == cols), rows == cols,
+           (rows[None, :], rows[:, None]))
+    for rank, (rows, cols, units) in _FACTOR_COORDINATES.items()
+}
 # halvings of a Newton step; doublings of the gradient step's curvature estimate
 _NEWTON_BACKTRACKS = 12
 _GRADIENT_BACKTRACKS = 60
@@ -402,18 +409,18 @@ def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
     evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > 0))
     rows, cols, units = _FACTOR_COORDINATES[rank]
+    coupling, diagonal, shifted_index = _NEWTON_CONSTANTS[rank]
     grot = evecs.conj().T @ gmat @ evecs
     nu = float(evals @ grot.diagonal().real)
     weight = 2.0 * np.sqrt(evals[cols])
     # d rho / d theta_j = sqrt(evals_col) (u e_{row,col} + conj(u) e_{col,row})
     jac = scale * weight * (units * _rotated_projectors(evecs, rows, cols)).real
     grad = weight * (units * grot[cols, rows]).real
-    trace = np.where(rows == cols, weight, 0.0)
+    trace = np.where(diagonal, weight, 0.0)
     mu = _expected_counts(rho, background, scale)
     poisson = np.divide(counts, mu**2, out=np.zeros_like(mu), where=counts > 0)
     # Tr((G - nu I) dA dA^dag) couples the coordinates of one column of A
-    shifted = (grot - nu * np.eye(4))[rows[None, :], rows[:, None]]
-    second = 2.0 * (units[:, None] * units.conj() * shifted).real * (cols[:, None] == cols)
+    second = (coupling * (grot - nu * np.eye(4))[shifted_index]).real
     hess = jac.T @ (poisson[:, None] * jac) + second
     size = len(rows)
     kkt = np.zeros((size + 1, size + 1))
@@ -592,22 +599,23 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(m)
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-
-
 def fidelity(rho, target) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho_T) rho sqrt(rho_T)))^2.
 
-    Reduces to <psi|rho|psi> for a pure target.
+    A target of purity within ``PURITY_TOL`` of 1 is taken as the pure
+    state |psi> of its top eigenvector, and the fidelity as <psi|rho|psi>
+    clipped to [0, 1]: square roots would turn its rounding into ~1e-8.
     """
     m = _as_matrix(rho)
     mt = _as_matrix(target)
     for name, mat in (("state", m), ("target", mt)):
         if np.linalg.eigvalsh(mat)[0] < -1e-8:
             raise ValueError(f"fidelity needs a physical {name}")
-    root = _psd_sqrt(mt)
+    evals, evecs = np.linalg.eigh(mt)
+    if abs(np.trace(mt @ mt).real - 1.0) <= PURITY_TOL:
+        psi = evecs[:, -1]
+        return min(max(float((psi.conj() @ m @ psi).real), 0.0), 1.0)
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     inner = root @ m @ root
     evals = np.linalg.eigvalsh(inner)
     # drop eigenvalues at roundoff scale: sqrt would inflate them to ~1e-8

@@ -173,16 +173,17 @@ def _result(density, degenerate, field: UnitVectorField, mask) -> SkyrmionResult
     ``mask``, under the degenerate set ``degenerate`` that holds ``mask``:
     exactly 0 if the set covers every point, else the trapezoidal integral
     over 4*pi of the density, zeroed (in a new array) on the footprint of a
-    set grown beyond ``mask``."""
+    set grown beyond ``mask``.  The integral is ``w @ density @ w``, with
+    ``w`` the trapezoid weights of an axis: h, halved at either end."""
     count = np.count_nonzero(degenerate)
     if count == degenerate.size:
         number, density = 0.0, np.zeros(degenerate.shape)
     else:
         if count > np.count_nonzero(mask):
             density = np.where(_stencil_footprint(degenerate), 0.0, density)
-        h = field.grid.spacing
-        total = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
-        number = float(total / (4.0 * math.pi))
+        w = np.full(degenerate.shape[0], field.grid.spacing)
+        w[[0, -1]] *= 0.5
+        number = float(w @ density @ w / (4.0 * math.pi))
     rounded = int(round(number))
     return SkyrmionResult(
         number=number, density=density, rounded=rounded, residual=abs(number - rounded),
@@ -294,8 +295,9 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
     # rows S1..S3, then cof(M) n, in one block: a state allocates one large array, not two
     rows = np.empty((6, field.mask.size))
-    np.matmul(k.T, coeffs.coords.T, out=rows[:3])
-    np.matmul(cofactors, field.vectors.reshape(-1, 3).T, out=rows[3:])
+    # written through transposed views, so the (n^2, 4) and (n^2, 3) operands are not strided
+    np.matmul(coeffs.coords, k, out=rows[:3].T)
+    np.matmul(field.vectors.reshape(-1, 3), cofactors.T, out=rows[3:].T)
     rows[3:] *= rows[:3]
     density = rows[3:].sum(axis=0).reshape(shape)
     rows[:3] *= rows[:3]

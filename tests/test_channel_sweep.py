@@ -17,17 +17,21 @@ from qskyrmion import (
     HybridStateSpec,
     UnitVectorField,
     apply_isotropic_noise,
+    average_quantum_contrast,
+    bloch_texture,
     channel_skyrmion_numbers,
     coeff_field,
     contrast_to_p,
+    mle_reconstruct,
     normalize_stokes,
+    pullback_skyrmion_number,
     pure_state,
     skyrmion_number,
     stokes_field,
     suggested_grid,
     witness_report,
 )
-from qskyrmion import topology
+from qskyrmion import cli, topology
 from qskyrmion.cli import SweepConfig, run_sweep
 from qskyrmion.stokesfield import DEGENERACY_EPS
 
@@ -212,3 +216,34 @@ def test_tomographic_sweep_builds_one_density(monkeypatch):
     rows = run_sweep(cfg, deterministic=True)
     assert counter.calls == 1
     assert rows[-1].masked_fraction == 1.0
+
+
+def test_tomographic_sweep_rows_compose_per_point(monkeypatch):
+    # one cli.mle_reconstruct call per point, in point order, and each row the
+    # witnesses and pullback of that point's estimate with its record's contrast
+    calls = []
+
+    def recording_mle(record, *args, **kwargs):
+        estimate = mle_reconstruct(record, *args, **kwargs)
+        calls.append((record, estimate))
+        return estimate
+
+    monkeypatch.setattr(cli, "mle_reconstruct", recording_mle)
+    spec = HybridStateSpec(0, 3, 0.4)
+    weights = [1.0, 0.7, 0.4, 0.1, 0.7]
+    cfg = sweep_config(spec, weights, pipeline="tomographic")
+    rows = run_sweep(cfg)
+    assert len(calls) == len(rows) == len(weights)
+    assert [record.seed for record, _ in calls] == [cfg.seed + i for i in range(len(weights))]
+    coeffs = coeff_field(spec, cfg.grid(), waist=cfg.waist)
+    bloch = skyrmion_number(bloch_texture(coeffs))
+    for row, p, (record, estimate) in zip(rows, weights, calls):
+        assert record.mode == "poisson"
+        witnesses = witness_report(estimate.rho, spec)
+        result = pullback_skyrmion_number(estimate.rho, coeffs, bloch)
+        assert (row.p, row.quantum_contrast, row.converged) == (
+            p, average_quantum_contrast(record), estimate.converged)
+        assert (row.purity, row.concurrence, row.fidelity) == (
+            witnesses.purity, witnesses.concurrence, witnesses.fidelity)
+        assert (row.skyrmion_number, row.residual, row.masked_fraction) == (
+            result.number, result.residual, result.masked_fraction)

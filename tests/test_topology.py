@@ -15,7 +15,7 @@ from qskyrmion import (
     texture_for_state,
 )
 from qskyrmion.stokesfield import UnitVectorField
-from qskyrmion.topology import _CENTRAL_WEIGHTS, STENCIL_ORDER
+from qskyrmion.topology import _CENTRAL_WEIGHTS, STENCIL_ORDER, _result
 
 
 def constant_field(grid, direction=(0.0, 0.0, 1.0)):
@@ -334,3 +334,33 @@ def test_bad_waist_is_named_before_the_window_rule(waist):
         convergence_scan(spec, 1.0, [32], waist=waist)
     with pytest.raises(ValueError, match=message):
         suggested_grid(spec, 32, waist=waist)
+
+
+class TestQuadrature:
+    """The number's integral, ``w @ density @ w`` over the trapezoid weights
+    w of one axis, against numpy's nested trapezoidal rule."""
+
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    def test_matches_nested_trapezoid(self, rng, n):
+        grid = GridSpec(3.0, n)
+        h = grid.spacing
+        mask = np.zeros((n, n), dtype=bool)
+        field = UnitVectorField(np.zeros((n, n, 3)), mask, grid)
+        for _ in range(20):
+            density = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            total = 4.0 * math.pi * _result(density, mask, field, mask).number
+            nested = np.trapezoid(np.trapezoid(density, dx=h, axis=1), dx=h, axis=0)
+            assert abs(total - nested) <= 1e-13 * np.abs(density).sum() * h**2
+
+    def test_fully_masked_field_is_exactly_zero(self, rng):
+        n = 17
+        grid = GridSpec(3.0, n)
+        everywhere = np.ones((n, n), dtype=bool)
+        collapsed = UnitVectorField(np.zeros((n, n, 3)), everywhere, grid)
+        result = skyrmion_number(collapsed)
+        assert (result.number, result.residual, result.masked_fraction) == (0.0, 0.0, 1.0)
+        assert not result.density.any()
+        # a set grown to every point discards the density it is given
+        some = rng.random((n, n)) < 0.3
+        field = UnitVectorField(np.zeros((n, n, 3)), some, grid)
+        assert _result(rng.normal(size=(n, n)), everywhere, field, some).number == 0.0

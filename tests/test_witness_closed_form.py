@@ -14,6 +14,7 @@ from qskyrmion import (
     pure_state,
     witness_report,
 )
+from qskyrmion.biphoton import _state_vector
 
 SPECS = st.builds(HybridStateSpec, st.integers(-4, 4), st.integers(-4, 4),
                   st.floats(-7.0, 7.0))
@@ -67,3 +68,21 @@ def test_unphysical_state_raises():
         witness_report(rho, spec)
     with pytest.raises(ValueError):
         fidelity(rho, pure_state(spec))
+
+
+@pytest.mark.parametrize("overlap", [0.0, 1e-14, 1e-10, 1e-6, 1e-3])
+def test_pure_target_fidelity_is_the_closed_form_near_orthogonality(overlap):
+    # states nearly orthogonal to |psi>: the closed form <psi|rho|psi> is
+    # small, where square roots of the target's rounding once added ~3e-8 sqrt(F)
+    rng = np.random.default_rng(11)
+    for spec in (HybridStateSpec(0, 1), HybridStateSpec(2, -5, 0.7), HybridStateSpec(-3, 1, 1.3)):
+        target, psi = pure_state(spec), _state_vector(spec)
+        for rank in (1, 2, 3):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            g -= np.outer(psi, psi.conj() @ g)  # every column orthogonal to psi
+            g /= np.linalg.norm(g)
+            rho = (1.0 - overlap) * (g @ g.conj().T) + overlap * np.outer(psi, psi.conj())
+            rho = 0.5 * (rho + rho.conj().T)
+            closed = float((psi.conj() @ rho @ psi).real)
+            assert abs(closed - overlap) <= 1e-15
+            assert fidelity(rho, target) == pytest.approx(closed, abs=1e-12)
