@@ -29,6 +29,7 @@ from .biphoton import (
 from .lgmodes import GridSpec, check_charge, coeff_field
 from .stokesfield import bloch_texture
 from .tomography import (
+    _contrast_ceiling,
     average_quantum_contrast,
     mle_reconstruct,
     noise_rate_for_contrast,
@@ -92,8 +93,7 @@ class SweepConfig:
     out_dir: str | None = None
 
     def grid(self) -> GridSpec:
-        half_width = None if self.half_width is None else self.half_width * self.waist
-        return _window_grid(self.state, self.samples, half_width, waist=self.waist)
+        return _window_grid(self.state, self.samples, _half_width_arg(self), waist=self.waist)
 
 
 _SWEEP_COLUMNS = ("p,quantum_contrast,purity,concurrence,fidelity,skyrmion_number,"
@@ -164,10 +164,8 @@ def load_config(path) -> SweepConfig:
         if key not in entries:
             return default
         raw, lineno = entries[key]
-        if key == "half_width" and raw.lower() == "auto":
-            return None
-        value = _parse_scalar(raw, lineno, key, cast)
-        if not holds(value):
+        value = _parse_scalar(raw, lineno, key, _read_half_width if key == "half_width" else cast)
+        if value is not None and not holds(value):
             raise ConfigError(f"{key} must be {condition}", lineno)
         return value
 
@@ -296,7 +294,7 @@ def _write_grid_csv(targets, columns: str, grid, values) -> None:
 def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
     """Record of ``rho`` at the pair rate, window and duration of ``source``,
     with the noise rate that targets the contrast channel weight ``p`` implies."""
-    qc_ceiling = 1.0 + 1.0 / (source.window * source.duration * source.pair_rate)
+    qc_ceiling = _contrast_ceiling(source.pair_rate, source.window, source.duration)
     target = min(max(contrast_from_p(p), 1.005), qc_ceiling)
     noise = noise_rate_for_contrast(target, pair_rate=source.pair_rate,
                                     window=source.window, duration=source.duration)
@@ -497,23 +495,28 @@ def _check_flags(args) -> None:
     """Hold each flag of a setting that the parsed command has to the setting's condition."""
     for name, (cast, _, condition, holds) in _SETTINGS.items():
         value = getattr(args, name, None)
-        if value is None or value == "auto":
-            continue
         flag = "--" + name.replace("_", "-")
-        if name == "half_width":
+        if name == "half_width" and isinstance(value, str):
             try:
-                value = args.half_width = float(value)
+                value = args.half_width = _read_half_width(value)
             except ValueError:
                 raise ConfigError(f"{flag} must be a number or 'auto', got {value!r}") from None
+        if value is None:
+            continue
         finite = cast is not float or math.isfinite(value)  # an int may not fit a float
         if not (finite and holds(value)):
             also = " and finite" if cast is float else ""
             raise ConfigError(f"{flag} must be {condition}{also}")
 
 
-def _half_width_arg(args) -> float | None:
-    """``--half-width`` in length units, or None for the auto window."""
-    return None if args.half_width == "auto" else args.half_width * args.waist
+def _read_half_width(raw: str) -> float | None:
+    """A written half-width: None for 'auto' in any case, else its float."""
+    return None if raw.lower() == "auto" else float(raw)
+
+
+def _half_width_arg(settings) -> float | None:
+    """The half-width of parsed flags or a config in length units, or None for the auto window."""
+    return None if settings.half_width is None else settings.half_width * settings.waist
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import PURITY_TOL, DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
+from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
 from .stokesfield import _PAULI
 
 QC_CAP = 1e12
@@ -189,6 +189,11 @@ def simulate_counts(
     )
 
 
+def _contrast_ceiling(pair_rate: float, window: float, duration: float) -> float:
+    """Highest average contrast a source reaches (at zero noise)."""
+    return 1.0 + 1.0 / (window * duration * pair_rate)
+
+
 def noise_rate_for_contrast(
     target_qc: float,
     *,
@@ -200,14 +205,14 @@ def noise_rate_for_contrast(
 
     Inverts Qc = 1 + pair_rate / (4 T duration (pair_rate/2 + n)^2), valid
     for the maximally-mixed-marginal states this package produces.  The
-    highest reachable contrast (n = 0) is 1 + 1/(T * duration * pair_rate);
-    targets beyond it clamp to n = 0 with a warning.
+    highest reachable contrast is :func:`_contrast_ceiling`; targets beyond
+    it clamp to n = 0 with a warning.
     """
     if target_qc <= 1.0:
         raise ValueError("target contrast must exceed 1")
     if pair_rate <= 0:
         raise ValueError("pair rate must be positive")
-    qc_max = 1.0 + 1.0 / (window * duration * pair_rate)
+    qc_max = _contrast_ceiling(pair_rate, window, duration)
     if target_qc > qc_max:
         warnings.warn(
             f"target contrast {target_qc:g} exceeds the source ceiling {qc_max:g}; "
@@ -242,14 +247,11 @@ def average_quantum_contrast(record: TomographyRecord) -> float:
 
 # --- reconstruction ---------------------------------------------------------
 
-_PAULI_LABELS = [(mu, nu) for mu in range(4) for nu in range(4)]
-_PAULI_BASIS = np.array([np.kron(_PAULI[mu], _PAULI[nu]) for mu, nu in _PAULI_LABELS])
-# design matrix: Tr[Pi_k rho] = (1/4) sum_c design[k, c] * r_c
-_DESIGN = np.einsum("kij,cji->kc", _PROJECTORS, _PAULI_BASIS).real / 4.0
-# The columns of the design are orthogonal: D^T D is diagonal, 3/4 for the
-# single-photon Paulis and 1/4 for the correlators, so the least-squares
-# coefficients are one projection per column.
-_DESIGN_NORMS = np.einsum("kc,kc->c", _DESIGN[:, 1:], _DESIGN[:, 1:])
+# Per photon the six projectors give sum_P P Tr(P X) = X + Tr(X) I, inverted by
+# X -> X - Tr(X) I / 3: rho = sum_k Tr(Pi_k rho) D_k with the dual frame
+# D_k = (P_a - I/3) (x) (P_b - I/3), and that sum over frequencies is least squares.
+_DUALS = np.array([np.kron(*(np.outer(v, v.conj()) - np.eye(2) / 3.0
+                             for v in (s.state_a, s.state_b))) for s in _SETTINGS])
 
 
 def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
@@ -266,9 +268,7 @@ def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
     if total <= 0:
         raise ValueError("record carries no net signal counts")
     freqs = 9.0 * counts / total
-    coeffs = (freqs - _DESIGN[:, 0]) @ _DESIGN[:, 1:] / _DESIGN_NORMS
-    r = np.concatenate([[1.0], coeffs])
-    rho = np.einsum("c,cij->ij", r, _PAULI_BASIS) / 4.0
+    rho = (freqs @ _DUALS.reshape(36, 16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix4(rho, noise_weight=None, require_physical=False)
 
@@ -602,9 +602,10 @@ def concurrence(rho) -> float:
 def fidelity(rho, target) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho_T) rho sqrt(rho_T)))^2.
 
-    A target of purity within ``PURITY_TOL`` of 1 is taken as the pure
-    state |psi> of its top eigenvector, and the fidelity as <psi|rho|psi>
-    clipped to [0, 1]: square roots would turn its rounding into ~1e-8.
+    With rho_T = V L V^dag on its support (eigenvalues above 1e-14 of the
+    largest; smaller ones are rounding of zeros, which square roots would
+    turn into ~1e-8), it sums the square roots of the eigenvalues of the
+    r x r matrix (V sqrt(L))^dag rho (V sqrt(L)); a pure target gives l <v|rho|v>.
     """
     m = _as_matrix(rho)
     mt = _as_matrix(target)
@@ -612,14 +613,11 @@ def fidelity(rho, target) -> float:
         if np.linalg.eigvalsh(mat)[0] < -1e-8:
             raise ValueError(f"fidelity needs a physical {name}")
     evals, evecs = np.linalg.eigh(mt)
-    if abs(np.trace(mt @ mt).real - 1.0) <= PURITY_TOL:
-        psi = evecs[:, -1]
-        return min(max(float((psi.conj() @ m @ psi).real), 0.0), 1.0)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = root @ m @ root
-    evals = np.linalg.eigvalsh(inner)
+    support = evals > 1e-14 * evals[-1]
+    half = evecs[:, support] * np.sqrt(evals[support])
+    evals = np.linalg.eigvalsh(half.conj().T @ m @ half)
     # drop eigenvalues at roundoff scale: sqrt would inflate them to ~1e-8
-    floor = max(evals.max(), 0.0) * 1e-12
+    floor = evals.max(initial=0.0) * 1e-12
     evals = np.where(evals > floor, evals, 0.0)
     val = float(np.sum(np.sqrt(evals)) ** 2)
     return min(val, 1.0)

@@ -280,6 +280,19 @@ def test_half_width_that_is_not_a_number_names_the_flag(capsys, command, extra):
     assert err == "error: --half-width must be a number or 'auto', got 'abc'\n"
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("skyrmion", ["--samples", "32"]),
+    ("converge", ["--resolutions", "32"]),
+])
+def test_half_width_auto_is_read_in_any_case(capsys, command, extra):
+    argv = [command, "--ell1", "0", "--ell2", "1", *extra, "--half-width"]
+    code = main([*argv, "auto"])
+    expected = capsys.readouterr()
+    for spelling in ("AUTO", "Auto"):
+        assert main([*argv, spelling]) == code
+        assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["skyrmion", "--ell1", "0", "--ell2", "1"],
     ["gallery", "--state", "0,1"],

@@ -32,8 +32,8 @@ from qskyrmion import (
     witness_report,
 )
 from qskyrmion import tomography
+from qskyrmion.stokesfield import _PAULI
 from qskyrmion.tomography import (
-    _DESIGN,
     _FACTOR_COORDINATES,
     _cholesky_to_params,
     _params_to_cholesky,
@@ -229,25 +229,32 @@ class TestAverageQuantumContrast:
 
 class TestLinearInversion:
     def test_design_has_full_rank(self):
-        # the 36 settings determine all 16 Pauli coefficients of rho
-        assert _DESIGN.shape == (36, 16)
-        assert np.linalg.matrix_rank(_DESIGN) == 16
+        # the 36 projectors span the 16-dimensional space of 4 x 4 Hermitian matrices
+        assert np.linalg.matrix_rank(_PROJECTORS.reshape(36, 16)) == 16
 
-    def test_design_columns_are_orthogonal(self):
-        gram = _DESIGN[:, 1:].T @ _DESIGN[:, 1:]
-        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), rtol=0, atol=1e-15)
-        assert set(np.round(np.diag(gram), 12)) == {0.25, 0.75}
+    def test_noiseless_records_of_random_states_invert_to_the_state(self, rng):
+        # rho = G G^dag / Tr of rank 1-4: the dual frame returns every state exactly
+        for rank in (1, 2, 3, 4):
+            for _ in range(5):
+                g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+                rho = g @ g.conj().T
+                rho /= np.trace(rho).real
+                est = linear_inversion(make_record(rho))
+                np.testing.assert_allclose(est.matrix, rho, rtol=0, atol=1e-12)
 
     def test_matches_least_squares_solve(self):
-        # the reference is the least-squares solve over all 15 coefficients
+        # the reference is the least-squares solve over all 15 Pauli coefficients,
+        # with Tr[Pi_k rho] = (1/4) sum_c design[k, c] r_c
+        basis = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
+        design = np.einsum("kij,cji->kc", _PROJECTORS, basis).real / 4.0
         for p, seed in [(1.0, 0), (0.6, 1), (0.2, 2), (0.0, 3), (0.9, 4)]:
             rec = make_record(channel(p, HybridStateSpec(0, 2, 0.4)), pair_rate=3e3,
                               noise=500.0, mode="poisson", seed=seed)
             counts = rec.coincidences - rec.accidentals()
             freqs = 9.0 * counts / counts.sum()
-            coeffs, *_ = np.linalg.lstsq(_DESIGN[:, 1:], freqs - _DESIGN[:, 0], rcond=None)
+            coeffs, *_ = np.linalg.lstsq(design[:, 1:], freqs - design[:, 0], rcond=None)
             r = np.concatenate([[1.0], coeffs])
-            expected = np.einsum("c,cij->ij", r, qskyrmion.tomography._PAULI_BASIS) / 4.0
+            expected = np.einsum("c,cij->ij", r, basis) / 4.0
             np.testing.assert_allclose(linear_inversion(rec).matrix, expected,
                                        rtol=0, atol=1e-14)
 

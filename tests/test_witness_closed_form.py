@@ -47,10 +47,7 @@ def test_random_physical_states_match_uhlmann_fidelity(spec, parts, rank):
     got = witness_report(rho, spec).fidelity
     exact = np.trace(rho @ target.matrix).real
     assert got == pytest.approx(min(max(exact, 0.0), 1.0), abs=1e-15)
-    # fidelity() square-roots the target's eigenvalue rounding (~1e-16) into
-    # ~1e-8 and adds that to sqrt(F), so at small F it is off by up to
-    # ~3e-8 sqrt(F) (measured on 40 000 random states); elsewhere 1e-12 holds
-    assert got == pytest.approx(fidelity(rho, target), abs=1e-12 + 1e-7 * math.sqrt(got))
+    assert got == pytest.approx(fidelity(rho, target), abs=1e-12)
 
 
 def test_orthogonal_and_equal_states():
@@ -86,3 +83,13 @@ def test_pure_target_fidelity_is_the_closed_form_near_orthogonality(overlap):
             closed = float((psi.conj() @ rho @ psi).real)
             assert abs(closed - overlap) <= 1e-15
             assert fidelity(rho, target) == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 4e-9])
+def test_nearly_pure_mixed_target_keeps_its_small_eigenvalue(eps):
+    # a target of purity within 1e-8 of 1 is still mixed: its eigenvalue eps
+    # adds sqrt(eps / 2) to sqrt(F), far above the rounding of the zeros
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    target = np.diag([1.0 - eps, eps, 0.0, 0.0]).astype(complex)
+    exact = (math.sqrt((1.0 - eps) / 2.0) + math.sqrt(eps / 2.0)) ** 2
+    assert fidelity(rho, target) == pytest.approx(exact, abs=1e-12)
