@@ -138,8 +138,12 @@ def apply_isotropic_noise(rho_pure: DensityMatrix4, p: float) -> DensityMatrix4:
     m = _as_matrix(rho_pure)
     if abs(np.trace(m @ m).real - 1.0) > PURITY_TOL:
         raise ValueError("isotropic channel input must be a pure state")
-    mixed = p * m + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityMatrix4(mixed, noise_weight=float(p))
+    return DensityMatrix4(_isotropic_mix(m, p), noise_weight=float(p))
+
+
+def _isotropic_mix(m: np.ndarray, p):
+    """p m + (1 - p) I/4, for one weight or a (K, 1, 1) array of weights."""
+    return p * m + (1.0 - p) / 4.0 * np.eye(4)
 
 
 def purity(rho) -> float:
@@ -148,10 +152,14 @@ def purity(rho) -> float:
     For outputs of the isotropic channel at weight p this equals
     p^2 + (1 - p^2)/4.
     """
-    m = _as_matrix(rho)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+    return float(_purities(_as_matrix(rho)[None])[0])
+
+
+def _purities(mats: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of each matrix of a (K, 4, 4) stack, which must all be Hermitian."""
+    if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0) > HERMITICITY_TOL:
         raise ValueError("purity requires a Hermitian matrix")
-    return float(np.trace(m @ m).real)
+    return np.trace(mats @ mats, axis1=-2, axis2=-1).real
 
 
 def channel_purity(p: float) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .biphoton import (
     HybridStateSpec,
     _check_weight,
+    _isotropic_mix,
     apply_isotropic_noise,
     contrast_from_p,
     contrast_to_p,
@@ -30,6 +31,7 @@ from .lgmodes import GridSpec, check_charge, coeff_field
 from .stokesfield import bloch_texture
 from .tomography import (
     _contrast_ceiling,
+    _witnesses,
     average_quantum_contrast,
     mle_reconstruct,
     noise_rate_for_contrast,
@@ -312,49 +314,41 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
     every row carries both p and the contrast it implies.  The sweep runs
     in two phases, so the 4x4 work and the grid work each run together:
 
-    1. Per point, in order: the state and its witnesses.  An analytic state
-       is the channel output p rho + (1 - p) I/4; a tomographic point
-       reconstructs its record (Poisson seed ``seed`` plus the point's
+    1. The states and their witnesses.  The channel outputs p rho + (1 - p) I/4
+       of every point form one (K, 4, 4) stack.  A tomographic point then, in
+       order, reconstructs its record (Poisson seed ``seed`` plus the point's
        index) with one :func:`mle_reconstruct` call and takes the contrast
-       from the record.
+       from the record.  One stacked call gives every state's witnesses.
     2. Per point: the Skyrmion number, and the row.  Channel outputs share
        one texture (:func:`channel_skyrmion_numbers`); a reconstructed
        state's texture is an affine image of the grid's OAM Bloch texture,
-       whose density is built once, when this phase starts, and pulled back
-       (:func:`pullback_skyrmion_number`).
+       whose density is built once and pulled back (:func:`pullback_skyrmion_number`).
     """
     coeffs = coeff_field(cfg.state, cfg.grid(), waist=cfg.waist)
     pure = pure_state(cfg.state)
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
-    tomographic = cfg.pipeline == "tomographic"
-    states = []
-    for index, p in enumerate(weights):
-        rho = apply_isotropic_noise(pure, p)
-        qc, converged = contrast_from_p(p), True
-        if tomographic:
+    contrasts = [contrast_from_p(p) for p in weights]  # every weight is checked here
+    mats = _isotropic_mix(pure.matrix, np.array(weights)[:, None, None])
+    if cfg.pipeline == "tomographic":
+        estimates = []
+        for index, (p, rho) in enumerate(zip(weights, mats)):
             record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
-            estimate = mle_reconstruct(record)
-            rho, converged = estimate.rho, estimate.converged
-            qc = average_quantum_contrast(record)
-        states.append((rho, qc, converged, witness_report(rho, cfg.state)))
-    if tomographic:
+            estimates.append(mle_reconstruct(record))
+            contrasts[index] = average_quantum_contrast(record)
+        mats = np.array([estimate.rho.matrix for estimate in estimates]).reshape(-1, 4, 4)
+        lows = np.array([estimate.rho.min_eigenvalue for estimate in estimates])
+        converged = [estimate.converged for estimate in estimates]
         bloch = skyrmion_number(bloch_texture(coeffs))
-        results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho, *_ in states)
+        results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho in mats)
     else:
+        lows = np.linalg.eigvalsh(mats)[:, 0]  # one stacked call; the witnesses check them
+        converged = [True] * len(weights)
         results = channel_skyrmion_numbers(pure, coeffs, weights)
+    witnesses = zip(*_witnesses(mats, lows, cfg.state))
     return [
-        SweepRow(
-            p=p,
-            quantum_contrast=qc,
-            purity=witnesses.purity,
-            concurrence=witnesses.concurrence,
-            fidelity=witnesses.fidelity,
-            skyrmion_number=result.number,
-            residual=result.residual,
-            masked_fraction=result.masked_fraction,
-            converged=converged,
-        )
-        for p, (_, qc, converged, witnesses), result in zip(weights, states, results)
+        SweepRow(p, qc, *map(float, values), result.number, result.residual,
+                 result.masked_fraction, ok)
+        for p, qc, values, result, ok in zip(weights, contrasts, witnesses, results, converged)
     ]
 
 

@@ -88,8 +88,10 @@ class CoeffField:
     rows zero; every Stokes field is linear in h.  n_z and 1 are kept apart
     as (1 +- n_z)/2, so that neither |a|^2 nor |b|^2 loses digits to the
     other.  :func:`coeff_field` builds them once, from one quadrant of the
-    grid and without complex arithmetic.  The complex fields ``a`` and ``b``
-    themselves are not stored: each read computes them over the whole grid.
+    grid and without complex arithmetic, as four contiguous (n, n) planes
+    whose (n^2, 4) view ``coords`` is: readers must not assume interleaved
+    rows.  The complex fields ``a`` and ``b`` are not stored: each read
+    computes them over the whole grid.
     """
 
     mask: np.ndarray
@@ -251,14 +253,14 @@ def coeff_field(
     planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
     parity = -1.0 if state.delta_ell % 2 else 1.0
     # x -> -x takes phi to pi - phi, y -> -y takes it to -phi
-    coords = np.empty((n, n, 4))
-    for plane, out, sign_x, sign_y in zip(planes, np.moveaxis(coords, -1, 0),
-                                          (1.0, 1.0, parity, -parity), (1.0, 1.0, 1.0, -1.0)):
+    coords = np.empty((4, n, n))
+    for plane, out, sign_x, sign_y in zip(planes, coords, (1.0, 1.0, parity, -parity),
+                                          (1.0, 1.0, 1.0, -1.0)):
         plane[qmask] = 0.0
         _unfold(plane, out, sign_x, sign_y)
     mask = np.empty((n, n), dtype=bool)
     _unfold(qmask, mask)
-    return CoeffField(mask=mask, coords=coords.reshape(-1, 4), grid=grid,
+    return CoeffField(mask=mask, coords=coords.reshape(4, -1).T, grid=grid,
                       state=state, waist=waist)
 
 

@@ -12,7 +12,9 @@ rho over photon A's OAM kets, the conditional operator is
 C(r) = sum_k h_k(r) N_k over the homogeneous coordinates
 h = (|a|^2, |b|^2, n_x, n_y) of :attr:`CoeffField.coords` and
 N = (2 M_00, 2 M_11, M_01 + M_10, i(M_01 - M_10)).  So S_mu = sum_k h_k K_k,mu
-with K_k,mu = Re Tr(sigma_mu N_k): one (n^2, 4) x (4, 4) product per state.
+with K_k,mu = Re Tr(sigma_mu N_k): one (4, 4) x (4, n^2) product K^T h^T per
+state writes the four Stokes planes.  Grid fields are stored as contiguous
+component planes, of which the (n^2, 4) and (n, n, 3) shapes are views.
 Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2, every texture is an
 affine image of n, (S1, S2, S3) = M n + c (:func:`bloch_texture`,
 :func:`_stokes_affine`).
@@ -42,7 +44,7 @@ class StokesField:
     """Grid-sampled Stokes parameters (S0, S1, S2, S3) of photon B.
 
     ``mask`` marks points excluded upstream (envelope underflow); Stokes
-    values there are zeroed.
+    values there are zeroed.  Each field is a contiguous (n, n) plane.
     """
 
     s0: np.ndarray
@@ -58,9 +60,13 @@ class StokesField:
 
 @dataclass
 class UnitVectorField:
-    """Unit 3-vector field over a grid, with a mask for degenerate points."""
+    """Unit 3-vector field over a grid, with a mask for degenerate points.
 
-    vectors: np.ndarray  # shape (n, n, 3)
+    The package writes ``vectors``, shape (n, n, 3), as a view of three
+    contiguous (n, n) planes: readers must not assume interleaved rows.
+    """
+
+    vectors: np.ndarray
     mask: np.ndarray
     grid: GridSpec
 
@@ -106,9 +112,9 @@ def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
     with the mask of ``coeffs``.  Every state's texture over this grid is
     M n + c (:func:`_stokes_affine`).
     """
-    n = coeffs.coords[:, [2, 3, 0]]  # a copy
-    n[:, 2] -= coeffs.coords[:, 1]
-    return UnitVectorField(n.reshape(coeffs.mask.shape + (3,)), coeffs.mask, coeffs.grid)
+    h = coeffs.coords.T
+    planes = np.stack([h[2], h[3], h[0] - h[1]]).reshape((3,) + coeffs.mask.shape)
+    return UnitVectorField(np.moveaxis(planes, 0, -1), coeffs.mask, coeffs.grid)
 
 
 def conditional_state(rho, coeffs: CoeffField, point: tuple[int, int]) -> np.ndarray:
@@ -151,8 +157,8 @@ def stokes_field(rho, coeffs: CoeffField) -> StokesField:
     rho : DensityMatrix4 or (4, 4) array
     coeffs : CoeffField
     """
-    stokes = (coeffs.coords @ _stokes_map(rho)).reshape(coeffs.mask.shape + (4,))
-    return StokesField(*np.moveaxis(stokes, -1, 0), mask=coeffs.mask.copy(), grid=coeffs.grid)
+    planes = (_stokes_map(rho).T @ coeffs.coords.T).reshape((4,) + coeffs.mask.shape)
+    return StokesField(*planes, mask=coeffs.mask.copy(), grid=coeffs.grid)
 
 
 def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
@@ -178,18 +184,19 @@ def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
     return i_plus, i_minus, noise_share
 
 
-def normalize_stokes(field: StokesField) -> UnitVectorField:
+def normalize_stokes(field: StokesField, norm: np.ndarray | None = None) -> UnitVectorField:
     """Map the Stokes vector field onto the unit sphere.
 
     Each (S1, S2, S3) is divided by its Euclidean norm; points with norm
     below ``DEGENERACY_EPS`` are masked as degenerate.  A field whose every
     point is degenerate (the p = 0 maximally mixed limit) comes back fully
-    masked, ``collapsed``, instead of raising.
+    masked, ``collapsed``, instead of raising.  A caller that holds
+    ``field.vector_norm()`` passes it as ``norm``, which is read, not modified.
     """
-    vec = np.stack([field.s1, field.s2, field.s3], axis=-1)
-    norm = field.vector_norm()
+    if norm is None:
+        norm = field.vector_norm()
     degenerate = (norm < DEGENERACY_EPS) | field.mask
-    norm[degenerate] = 1.0
-    vec /= norm[..., None]
-    vec[degenerate] = 0.0
-    return UnitVectorField(vectors=vec, mask=degenerate, grid=field.grid)
+    planes, keep = np.zeros((3,) + norm.shape), ~degenerate
+    for component, plane in zip((field.s1, field.s2, field.s3), planes):
+        np.divide(component, norm, out=plane, where=keep)
+    return UnitVectorField(np.moveaxis(planes, 0, -1), degenerate, field.grid)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, _state_vector, purity
+from .biphoton import DensityMatrix4, HybridStateSpec, _as_matrix, _purities, _state_vector
 from .stokesfield import _PAULI
 
 QC_CAP = 1e12
@@ -589,14 +589,19 @@ def concurrence(rho) -> float:
     states, 1 for Bell states.
     """
     m = _as_matrix(rho)
-    low = rho.min_eigenvalue if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[0]
+    low = [rho.min_eigenvalue] if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[:1]
+    return float(_concurrences(m[None], low)[0])
+
+
+def _concurrences(mats: np.ndarray, lows) -> np.ndarray:
+    """:func:`concurrence` of each state of a (K, 4, 4) stack of smallest eigenvalues ``lows``."""
+    low = min(lows, default=0.0)
     if low < -1e-8:
         raise ValueError(f"concurrence needs a physical state (min eigenvalue {low:.3e})")
-    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    lam = np.linalg.eigvals(m @ flipped)
-    lam = np.sqrt(np.clip(lam.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    flipped = _SPIN_FLIP @ mats.conj() @ _SPIN_FLIP
+    lam = np.sqrt(np.clip(np.linalg.eigvals(mats @ flipped).real, 0.0, None))
+    lam.sort(axis=-1)
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
 
 
 def fidelity(rho, target) -> float:
@@ -609,10 +614,11 @@ def fidelity(rho, target) -> float:
     """
     m = _as_matrix(rho)
     mt = _as_matrix(target)
-    for name, mat in (("state", m), ("target", mt)):
-        if np.linalg.eigvalsh(mat)[0] < -1e-8:
-            raise ValueError(f"fidelity needs a physical {name}")
+    if np.linalg.eigvalsh(m)[0] < -1e-8:
+        raise ValueError("fidelity needs a physical state")
     evals, evecs = np.linalg.eigh(mt)
+    if evals[0] < -1e-8:
+        raise ValueError("fidelity needs a physical target")
     support = evals > 1e-14 * evals[-1]
     half = evecs[:, support] * np.sqrt(evals[support])
     evals = np.linalg.eigvalsh(half.conj().T @ m @ half)
@@ -642,13 +648,19 @@ def witness_report(rho, target_spec: HybridStateSpec) -> WitnessReport:
     eigenvalue below -1e-8 raises ValueError, from :func:`concurrence`.
     """
     m = _as_matrix(rho)
+    low = [rho.min_eigenvalue] if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[:1]
+    values = [float(v[0]) for v in _witnesses(m[None], low, target_spec)]
+    return WitnessReport(*values, against_target=target_spec)
+
+
+def _witnesses(mats: np.ndarray, lows, target_spec: HybridStateSpec):
+    """Purity, concurrence and fidelity arrays of a (K, 4, 4) stack with smallest eigenvalues
+    ``lows``, as in :func:`witness_report`.  A state's bits do not depend on its stack:
+    the fidelity takes one dot per state, not a (K, 4) x (4,) product."""
     psi = _state_vector(target_spec)
-    return WitnessReport(
-        purity=purity(rho),
-        concurrence=concurrence(rho),
-        fidelity=min(max(float((psi.conj() @ m @ psi).real), 0.0), 1.0),
-        against_target=target_spec,
-    )
+    rows = (psi.conj() @ mats)[:, None, :]
+    fidelities = np.clip((rows @ psi[:, None])[:, 0, 0].real, 0.0, 1.0)
+    return _purities(mats), _concurrences(mats, lows), fidelities
 
 
 # --- serialization ----------------------------------------------------------

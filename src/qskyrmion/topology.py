@@ -130,11 +130,12 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
             f"field shape {vectors.shape} does not match grid ({n}, {n}, 3)"
         )
     h = grid.spacing
-    ax, ay, az = np.moveaxis(_diff(vectors, h), -1, 0)
-    # _diff runs along axis 0: y derivatives come from a contiguous transposed copy
-    transposed = np.ascontiguousarray(vectors.transpose(1, 0, 2))
-    bx, by, bz = np.moveaxis(_diff(transposed, h).transpose(1, 0, 2), -1, 0)
-    sx, sy, sz = np.moveaxis(vectors, -1, 0)
+    sx, sy, sz = planes = np.moveaxis(vectors, -1, 0)
+    # _diff runs along axis 0: x derivatives through a view with x first (its output
+    # has the planes' layout), y derivatives on a transposed copy, copied back to planes
+    ax, ay, az = _diff(planes.transpose(1, 0, 2), h).transpose(1, 0, 2)
+    bx, by, bz = np.ascontiguousarray(
+        _diff(np.ascontiguousarray(planes.transpose(2, 0, 1)), h).transpose(1, 2, 0))
     density = sx * (ay * bz - az * by)
     density += sy * (az * bx - ax * bz)
     density += sz * (ax * by - ay * bx)
@@ -226,18 +227,20 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     for p in weights:
         _check_weight(p)
     raw = stokes_field(rho, coeffs)
-    norm, field = raw.vector_norm(), normalize_stokes(raw)
-    del raw  # the (n, n, 4) Stokes array is not held through the density's temporaries
+    field = normalize_stokes(raw, norm := raw.vector_norm())
+    del raw  # the Stokes planes are not held through the density's temporaries
     result = skyrmion_number(field)
     result.density.flags.writeable = False
-    base_count = np.count_nonzero(field.mask)
+    # p |S| >= p low at every unmasked point, rounding being monotone: p's set grows
+    # beyond p = 1's exactly when p low < DEGENERACY_EPS (never, with no such point)
+    low = float(norm.min(initial=math.inf, where=~field.mask))
 
     def outputs():
         for p in weights:
-            degenerate = (p * norm < DEGENERACY_EPS) | field.mask
-            if np.count_nonzero(degenerate) == base_count:  # sets only grow as p falls: p = 1's
+            if not p * low < DEGENERACY_EPS:
                 yield result
                 continue
+            degenerate = (p * norm < DEGENERACY_EPS) | field.mask
             vectors = (np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
                        if degenerate.all() else np.where(degenerate[..., None], 0.0, field.vectors))
             yield _result(result.density, degenerate,
@@ -293,9 +296,8 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
     # rows S1..S3, then cof(M) n, in one block: a state allocates one large array, not two
     rows = np.empty((6, field.mask.size))
-    # written through transposed views, so the (n^2, 4) and (n^2, 3) operands are not strided
-    np.matmul(coeffs.coords, k, out=rows[:3].T)
-    np.matmul(field.vectors.reshape(-1, 3), cofactors.T, out=rows[3:].T)
+    np.matmul(k.T, coeffs.coords.T, out=rows[:3])
+    np.matmul(cofactors, np.moveaxis(field.vectors, -1, 0).reshape(3, -1), out=rows[3:])
     rows[3:] *= rows[:3]
     density = rows[3:].sum(axis=0).reshape(shape)
     rows[:3] *= rows[:3]

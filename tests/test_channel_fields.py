@@ -97,3 +97,40 @@ def test_skyrmion_number_carries_its_field():
     result = skyrmion_number(fld)
     assert result.field is fld and result.grid is grid
     assert (result.number, result.residual, result.masked_fraction) == (0.0, 0.0, 1.0)
+
+
+def maximally_mixed():
+    return np.eye(4, dtype=complex) / 4.0, coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 32))
+
+
+def first_weight_keeping(low):
+    """The smallest weight p with p * low >= DEGENERACY_EPS in floating point."""
+    p = DEGENERACY_EPS / low
+    while p * low < DEGENERACY_EPS:
+        p = np.nextafter(p, 2.0)
+    while np.nextafter(p, 0.0) * low >= DEGENERACY_EPS:
+        p = np.nextafter(p, 0.0)
+    return p
+
+
+@pytest.mark.parametrize("source", [weak_state, pure_channel_input, maximally_mixed])
+def test_growth_is_read_from_the_smallest_unmasked_norm(source):
+    # the generator decides growth from min |S| over unmasked points; every weight's
+    # set must equal the full recount (p |S| < DEGENERACY_EPS) | mask, and the p = 1
+    # result is shared exactly when the recount adds nothing
+    rho, coeffs = source()
+    raw = stokes_field(rho, coeffs)
+    norm, base = raw.vector_norm(), normalize_stokes(raw).mask
+    weights = [1.0, 0.0]
+    if not base.all():
+        edge = first_weight_keeping(norm[~base].min())
+        weights += [np.nextafter(edge, 0.0), edge]
+    results = list(channel_skyrmion_numbers(rho, coeffs, weights))
+    for p, result in zip(weights, results):
+        recount = (p * norm < DEGENERACY_EPS) | base
+        assert bits(result.field.mask) == bits(recount)
+        assert (result is results[0]) == (recount == base).all()
+    if base.all():
+        assert all(result is results[0] for result in results)
+    else:
+        assert results[2] is not results[0] and results[3] is results[0]

@@ -15,6 +15,7 @@ from qskyrmion import (
     witness_report,
 )
 from qskyrmion.biphoton import _state_vector
+from qskyrmion.tomography import _witnesses
 
 SPECS = st.builds(HybridStateSpec, st.integers(-4, 4), st.integers(-4, 4),
                   st.floats(-7.0, 7.0))
@@ -93,3 +94,26 @@ def test_nearly_pure_mixed_target_keeps_its_small_eigenvalue(eps):
     target = np.diag([1.0 - eps, eps, 0.0, 0.0]).astype(complex)
     exact = (math.sqrt((1.0 - eps) / 2.0) + math.sqrt(eps / 2.0)) ** 2
     assert fidelity(rho, target) == pytest.approx(exact, abs=1e-12)
+
+
+def test_stacked_witnesses_do_not_depend_on_the_stack():
+    # a sweep takes every point's witnesses from one stacked call: each state's
+    # bits must be those of the state alone and of the stack in reverse order
+    spec = HybridStateSpec(0, 3, 1.1)
+    rng = np.random.default_rng(5)
+    mats = [apply_isotropic_noise(pure_state(spec), p).matrix for p in np.linspace(1, 0, 11)]
+    for rank in (1, 2, 3, 4, 4, 4, 2, 1, 3, 4):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        mats.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    mats = np.array(mats)
+    lows = np.linalg.eigvalsh(mats)[:, 0]
+    assert len(mats) == 21
+    stacked = _witnesses(mats, lows, spec)
+    backwards = _witnesses(np.ascontiguousarray(mats[::-1]), lows[::-1], spec)
+    for k in range(21):
+        alone = _witnesses(mats[k : k + 1], lows[k : k + 1], spec)
+        report = witness_report(mats[k], spec)
+        for q, value in enumerate((report.purity, report.concurrence, report.fidelity)):
+            got = {np.float64(v).tobytes() for v in (stacked[q][k], alone[q][0],
+                                                     backwards[q][20 - k], value)}
+            assert len(got) == 1
