@@ -395,7 +395,8 @@ def run_topology_gallery(
     its tail-safe window; matching rounded numbers across the pair is the
     noise-invariance statement and is reported per row.  When ``out_dir``
     is set, the normalized textures (x, y, S1, S2, S3) and a summary table
-    are written there.
+    are written there; file names hold the charges alone, so two specs of
+    the same charges then raise ValueError before anything is written.
 
     Isotropic noise only scales (S1, S2, S3) by p, so both results of a
     state, and the textures they carry as ``field``, come from one p = 1
@@ -410,6 +411,11 @@ def run_topology_gallery(
     rows = []
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
+        charges = [(spec.ell1, spec.ell2) for spec in specs]
+        twice = [pair for pair in charges if charges.count(pair) > 1]
+        if twice:
+            raise ValueError(f"two states with charges {twice[0]} would write the same "
+                             "texture files")
         out.mkdir(parents=True, exist_ok=True)
     for spec, grid in zip(specs, grids):
         clean, noisy = channel_skyrmion_numbers(
