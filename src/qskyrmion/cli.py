@@ -336,15 +336,13 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
             estimates.append(mle_reconstruct(record))
             contrasts[index] = average_quantum_contrast(record)
         mats = np.array([estimate.rho.matrix for estimate in estimates]).reshape(-1, 4, 4)
-        lows = np.array([estimate.rho.min_eigenvalue for estimate in estimates])
         converged = [estimate.converged for estimate in estimates]
         bloch = skyrmion_number(bloch_texture(coeffs))
         results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho in mats)
     else:
-        lows = np.linalg.eigvalsh(mats)[:, 0]  # one stacked call; the witnesses check them
         converged = [True] * len(weights)
         results = channel_skyrmion_numbers(pure, coeffs, weights)
-    witnesses = zip(*_witnesses(mats, lows, cfg.state))
+    witnesses = zip(*_witnesses(mats, cfg.state))
     return [
         SweepRow(p, qc, *map(float, values), result.number, result.residual,
                  result.masked_fraction, ok)
@@ -609,11 +607,12 @@ def _cmd_sweep(args) -> int:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    rows = run_sweep(cfg, deterministic=args.deterministic)
-    sys.stdout.writelines(_csv_chunks(_SWEEP_COLUMNS, _sweep_table(rows)))
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+    rows = run_sweep(cfg, deterministic=args.deterministic)
+    sys.stdout.writelines(_csv_chunks(_SWEEP_COLUMNS, _sweep_table(rows)))
+    if cfg.out_dir is not None:
         write_sweep_csv(rows, cfg, out / "sweep.csv")
         print(f"sweep written to {out / 'sweep.csv'}")
     high = [r for r in rows if r.residual > RESIDUAL_WARN]

@@ -15,9 +15,9 @@ N = (2 M_00, 2 M_11, M_01 + M_10, i(M_01 - M_10)).  So S_mu = sum_k h_k K_k,mu
 with K_k,mu = Re Tr(sigma_mu N_k): one (4, 4) x (4, n^2) product K^T h^T per
 state writes the four Stokes planes.  Grid fields are stored as contiguous
 component planes, of which the (n^2, 4) and (n, n, 3) shapes are views.
-Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2, every texture is an
-affine image of n, (S1, S2, S3) = M n + c (:func:`bloch_texture`,
-:func:`_stokes_affine`).
+Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2, h and n are related
+by n = T h and h = F n + d, so every texture is an affine image of n,
+(S1, S2, S3) = M n + c (:func:`bloch_texture`, :func:`_stokes_affine`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ SIGMA = {
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI = np.stack([np.eye(2, dtype=complex), SIGMA[1], SIGMA[2], SIGMA[3]])  # sigma_0..3
+
+# the one map between h and n: n = T h, and h = F n + d where |a|^2 + |b|^2 = 1
+_T = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
+_F = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_D = np.array([0.5, 0.5, 0.0, 0.0])
 
 
 @dataclass
@@ -90,30 +95,20 @@ def _stokes_map(rho) -> np.ndarray:
 
 
 def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
-    """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n.
-
-    h = ((1 + n_z)/2, (1 - n_z)/2, n_x, n_y) on unmasked points, so over
-    columns 1..3 of K the columns of M are K_2, K_3 and (K_0 - K_1)/2, and
-    c = (K_0 + K_1)/2.
-    """
+    """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n:
+    S = K^T h over columns 1..3 of K, and h = F n + d on unmasked points."""
     k = _stokes_map(rho)[:, 1:]
-    return _bloch_matrix(k), (k[0] + k[1]) / 2.0
-
-
-def _bloch_matrix(k: np.ndarray) -> np.ndarray:
-    """M of :func:`_stokes_affine` from the rows of K over columns 1..3."""
-    return np.stack([k[2], k[3], (k[0] - k[1]) / 2.0], axis=1)
+    return k.T @ _F, k.T @ _D
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
-    """The OAM Bloch vectors n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2).
+    """The OAM Bloch vectors n = T h = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2).
 
     Unit vectors wherever ``coeffs`` is unmasked, zero where it is masked,
     with the mask of ``coeffs``.  Every state's texture over this grid is
     M n + c (:func:`_stokes_affine`).
     """
-    h = coeffs.coords.T
-    planes = np.stack([h[2], h[3], h[0] - h[1]]).reshape((3,) + coeffs.mask.shape)
+    planes = (_T @ coeffs.coords.T).reshape((3,) + coeffs.mask.shape)
     return UnitVectorField(np.moveaxis(planes, 0, -1), coeffs.mask, coeffs.grid)
 
 

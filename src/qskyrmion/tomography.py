@@ -579,6 +579,7 @@ def mle_reconstruct(
 # --- witnesses --------------------------------------------------------------
 
 _SPIN_FLIP = np.kron(_PAULI[2], _PAULI[2])
+_WITNESS_FLOOR = -1e-8  # the smallest eigenvalue the witnesses take as physical
 
 
 def concurrence(rho) -> float:
@@ -588,15 +589,13 @@ def concurrence(rho) -> float:
     eigenvalues of rho * (sy (x) sy) rho^* (sy (x) sy); 0 for separable
     states, 1 for Bell states.
     """
-    m = _as_matrix(rho)
-    low = [rho.min_eigenvalue] if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[:1]
-    return float(_concurrences(m[None], low)[0])
+    return float(_concurrences(_as_matrix(rho)[None])[0])
 
 
-def _concurrences(mats: np.ndarray, lows) -> np.ndarray:
-    """:func:`concurrence` of each state of a (K, 4, 4) stack of smallest eigenvalues ``lows``."""
-    low = min(lows, default=0.0)
-    if low < -1e-8:
+def _concurrences(mats: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of each state of a (K, 4, 4) stack, checked by one stacked eigvalsh."""
+    low = np.linalg.eigvalsh(mats)[:, 0].min(initial=0.0)
+    if low < _WITNESS_FLOOR:
         raise ValueError(f"concurrence needs a physical state (min eigenvalue {low:.3e})")
     flipped = _SPIN_FLIP @ mats.conj() @ _SPIN_FLIP
     lam = np.sqrt(np.clip(np.linalg.eigvals(mats @ flipped).real, 0.0, None))
@@ -614,10 +613,10 @@ def fidelity(rho, target) -> float:
     """
     m = _as_matrix(rho)
     mt = _as_matrix(target)
-    if np.linalg.eigvalsh(m)[0] < -1e-8:
+    if np.linalg.eigvalsh(m)[0] < _WITNESS_FLOOR:
         raise ValueError("fidelity needs a physical state")
     evals, evecs = np.linalg.eigh(mt)
-    if evals[0] < -1e-8:
+    if evals[0] < _WITNESS_FLOOR:
         raise ValueError("fidelity needs a physical target")
     support = evals > 1e-14 * evals[-1]
     half = evecs[:, support] * np.sqrt(evals[support])
@@ -647,20 +646,18 @@ def witness_report(rho, target_spec: HybridStateSpec) -> WitnessReport:
     :func:`fidelity` takes from eigendecompositions.  A state with an
     eigenvalue below -1e-8 raises ValueError, from :func:`concurrence`.
     """
-    m = _as_matrix(rho)
-    low = [rho.min_eigenvalue] if isinstance(rho, DensityMatrix4) else np.linalg.eigvalsh(m)[:1]
-    values = [float(v[0]) for v in _witnesses(m[None], low, target_spec)]
+    values = [float(v[0]) for v in _witnesses(_as_matrix(rho)[None], target_spec)]
     return WitnessReport(*values, against_target=target_spec)
 
 
-def _witnesses(mats: np.ndarray, lows, target_spec: HybridStateSpec):
-    """Purity, concurrence and fidelity arrays of a (K, 4, 4) stack with smallest eigenvalues
-    ``lows``, as in :func:`witness_report`.  A state's bits do not depend on its stack:
+def _witnesses(mats: np.ndarray, target_spec: HybridStateSpec):
+    """Purity, concurrence and fidelity arrays of a (K, 4, 4) stack, as in
+    :func:`witness_report`.  A state's bits do not depend on its stack:
     the fidelity takes one dot per state, not a (K, 4) x (4,) product."""
     psi = _state_vector(target_spec)
     rows = (psi.conj() @ mats)[:, None, :]
     fidelities = np.clip((rows @ psi[:, None])[:, 0, 0].real, 0.0, 1.0)
-    return _purities(mats), _concurrences(mats, lows), fidelities
+    return _purities(mats), _concurrences(mats), fidelities
 
 
 # --- serialization ----------------------------------------------------------

@@ -26,7 +26,8 @@ from .lgmodes import CoeffField, GridSpec, check_charge, check_waist, coeff_fiel
 from .stokesfield import (
     DEGENERACY_EPS,
     UnitVectorField,
-    _bloch_matrix,
+    _F,
+    _T,
     _stokes_map,
     normalize_stokes,
     stokes_field,
@@ -259,7 +260,8 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     n times the area Jacobian J(n) = (cof(M) n) . S / |S|^3, which is
     (det M + n . adj(M) c) / |S|^3 for unit n; the cofactors, not the
     inverse, keep det M = 0 free of a branch.  The difference stencil runs
-    once, on n, in ``bloch``; each state then costs a few (n, n) products.
+    once, on n, in ``bloch``; each state then costs one product
+    [K^T; cof(M) T] h^T, of S and cof(M) n, and a few (n, n) products.
 
     The degenerate set (|S| < DEGENERACY_EPS, with the envelope mask) is
     applied as :func:`skyrmion_number` applies it to
@@ -278,7 +280,8 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     rho : DensityMatrix4 or (4, 4) array
     coeffs : CoeffField
     bloch : SkyrmionResult
-        ``skyrmion_number(bloch_texture(coeffs))``; one on another grid raises.
+        ``skyrmion_number(bloch_texture(coeffs))``, of which the density,
+        mask and grid are read; one on another grid raises.
 
     Returns
     -------
@@ -291,13 +294,11 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
         raise ValueError("bloch must be the Bloch texture's result on the grid of coeffs")
     shape = field.mask.shape
     k = _stokes_map(rho)[:, 1:]
-    m = _bloch_matrix(k)
+    m = k.T @ _F
     i, j = [1, 2, 0], [2, 0, 1]
     cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
-    # rows S1..S3, then cof(M) n, in one block: a state allocates one large array, not two
-    rows = np.empty((6, field.mask.size))
-    np.matmul(k.T, coeffs.coords.T, out=rows[:3])
-    np.matmul(cofactors, np.moveaxis(field.vectors, -1, 0).reshape(3, -1), out=rows[3:])
+    # rows S1..S3, then cof(M) n = cof(M) T h: one product, one large array
+    rows = np.vstack([k.T, cofactors @ _T]) @ coeffs.coords.T
     rows[3:] *= rows[:3]
     density = rows[3:].sum(axis=0).reshape(shape)
     rows[:3] *= rows[:3]

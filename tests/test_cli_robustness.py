@@ -230,6 +230,22 @@ def test_gallery_charge_beyond_envelope_limit_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config-key"])
+def test_sweep_out_under_a_file_fails_before_the_sweep(tmp_path, capsys, by_key):
+    # the output directory is made before the sweep runs, so a path that cannot
+    # be a directory prints no row
+    results = tmp_path / "afile" / "results"
+    results.parent.write_text("")
+    path = tmp_path / "s.cfg"
+    text = "ell1 = 0\nell2 = 1\nvalues = 1, 0.5\nsamples = 16\n"
+    path.write_text(text + f"out = {results}\n" if by_key else text)
+    argv = ["sweep", "--config", str(path)] + ([] if by_key else ["--out", str(results)])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("ell", ["171", "-200", "9" * 400], ids=["171", "-200", "400-digits"])
 def test_sweep_charge_beyond_envelope_limit_reports_line(tmp_path, capsys, ell):
     path = tmp_path / "big.cfg"

@@ -36,7 +36,7 @@ from qskyrmion import (
     stokes_field,
     suggested_grid,
 )
-from qskyrmion.stokesfield import DEGENERACY_EPS, SIGMA, _stokes_affine
+from qskyrmion.stokesfield import DEGENERACY_EPS, SIGMA, _D, _F, _T, _stokes_affine
 from qskyrmion.topology import _stencil_footprint
 
 STATES = [(0, 1, 0.0), (0, 3, 0.4), (0, -2, 0.7), (2, -5, 0.7), (-3, 1, 1.3), (1, 4, 0.2)]
@@ -114,6 +114,16 @@ def test_bloch_texture_is_the_affine_preimage_of_every_texture():
     np.testing.assert_allclose((texture.vectors @ m.T + c)[live],
                                np.stack([raw.s1, raw.s2, raw.s3], axis=-1)[live],
                                rtol=0, atol=1e-12)
+
+
+def test_the_maps_between_h_and_n_are_inverses():
+    # n = T h and h = F n + d: T undoes F n + d on every unit n, and T d = 0
+    rng = np.random.default_rng(3)
+    n = rng.normal(size=(3, 200))
+    n /= np.linalg.norm(n, axis=0)
+    np.testing.assert_allclose(_T @ (_F @ n + _D[:, None]), n, rtol=0, atol=1e-15)
+    assert np.array_equal(_T @ _F, np.eye(3))
+    assert not (_T @ _D).any()
 
 
 @pytest.mark.parametrize("samples", [64, 128, 256])

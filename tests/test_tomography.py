@@ -531,8 +531,8 @@ class TestMleReconstruct:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the package's import time and only
-    # mle_reconstruct needs it, so it loads on the first reconstruction
+    # scipy.optimize would be most of the package's import time; reconstruction
+    # needs numpy alone, so no scipy module loads at all (see the next test)
     env = dict(os.environ, PYTHONPATH=str(Path(qskyrmion.__file__).parents[1]))
     code = "import sys, qskyrmion, qskyrmion.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qskyrmion import (
+    DensityMatrix4,
     HybridStateSpec,
     apply_isotropic_noise,
+    concurrence,
     fidelity,
     pure_state,
     witness_report,
@@ -68,6 +70,16 @@ def test_unphysical_state_raises():
         fidelity(rho, pure_state(spec))
 
 
+def test_unphysical_density_matrix_raises():
+    # a DensityMatrix4 built without the physicality check is checked like a raw array
+    spec = HybridStateSpec(0, 1)
+    rho = DensityMatrix4(np.diag([0.6, 0.3, 0.2, -0.1]), require_physical=False)
+    with pytest.raises(ValueError, match="physical state"):
+        witness_report(rho, spec)
+    with pytest.raises(ValueError, match="physical state"):
+        concurrence(rho)
+
+
 @pytest.mark.parametrize("overlap", [0.0, 1e-14, 1e-10, 1e-6, 1e-3])
 def test_pure_target_fidelity_is_the_closed_form_near_orthogonality(overlap):
     # states nearly orthogonal to |psi>: the closed form <psi|rho|psi> is
@@ -106,12 +118,11 @@ def test_stacked_witnesses_do_not_depend_on_the_stack():
         g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         mats.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
     mats = np.array(mats)
-    lows = np.linalg.eigvalsh(mats)[:, 0]
     assert len(mats) == 21
-    stacked = _witnesses(mats, lows, spec)
-    backwards = _witnesses(np.ascontiguousarray(mats[::-1]), lows[::-1], spec)
+    stacked = _witnesses(mats, spec)
+    backwards = _witnesses(np.ascontiguousarray(mats[::-1]), spec)
     for k in range(21):
-        alone = _witnesses(mats[k : k + 1], lows[k : k + 1], spec)
+        alone = _witnesses(mats[k : k + 1], spec)
         report = witness_report(mats[k], spec)
         for q, value in enumerate((report.purity, report.concurrence, report.fidelity)):
             got = {np.float64(v).tobytes() for v in (stacked[q][k], alone[q][0],
