@@ -259,6 +259,12 @@ def _csv_chunks(columns: str, rows):
         yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
+def _create_output(path) -> None:
+    """Create, or empty, the output file ``path`` before the work that fills
+    it, so that a path that cannot be written fails first."""
+    open(path, "w").close()
+
+
 def _write_csv(path, header_lines, columns: str, rows) -> None:
     with open(path, "w") as fh:
         fh.writelines(h + "\n" for h in header_lines)
@@ -446,7 +452,8 @@ def run_topology_gallery(
     return rows
 
 
-_CONVERGENCE_COLUMNS = "resolution,skyrmion_number,residual"  # ConvergenceRow's fields
+# the CSV column line of a convergence table, one column per ConvergenceRow field in order
+_CONVERGENCE_COLUMNS = "resolution,skyrmion_number,residual"
 
 
 def run_convergence(
@@ -458,7 +465,10 @@ def run_convergence(
     waist: float = 1.0,
     out=None,
 ):
-    """Convergence table across resolutions, optionally persisted as CSV."""
+    """Convergence table across resolutions, optionally persisted as CSV
+    (the file ``out`` is created before the scan)."""
+    if out is not None:
+        _create_output(out)
     rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
     if out is not None:
         _write_csv(out, [
@@ -588,6 +598,8 @@ def _cmd_state(args) -> int:
 def _cmd_skyrmion(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     grid = _window_grid(state, args.samples, _half_width_arg(args), waist=args.waist)
+    if args.density_out:
+        _create_output(args.density_out)
     result = skyrmion_number(texture_for_state(state, args.p, grid, waist=args.waist))
     print(f"N = {result.number:.6f}  (rounded {result.rounded}, "
           f"residual {result.residual:.2e}, masked {result.masked_fraction:.3f})")
@@ -644,6 +656,8 @@ def _cmd_gallery(args) -> int:
 def _cmd_tomo(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
+    if args.out:
+        _create_output(args.out)
     record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)
     estimate = mle_reconstruct(record)
     print(f"average quantum contrast = {average_quantum_contrast(record):.4f}")
@@ -662,8 +676,6 @@ def _cmd_converge(args) -> int:
         resolutions = [int(v) for v in args.resolutions.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse resolutions {args.resolutions!r}") from None
-    if not resolutions:
-        raise ConfigError("resolution list is empty")
     _, _, condition, holds = _SETTINGS["samples"]
     for samples in resolutions:
         if not holds(samples):
@@ -690,7 +702,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,10 +113,6 @@ class CoeffField:
         _, bmag, _ = _envelope_pair(self.state, r, self.waist)
         return bmag * np.exp(1j * self.state.delta_ell * phi)
 
-    @property
-    def masked_fraction(self) -> float:
-        return float(self.mask.mean())
-
 
 def lg_amplitude(r, phi, mode: ModeSpec):
     """Laguerre-Gaussian amplitude LG_ell(r, phi) at the waist plane.

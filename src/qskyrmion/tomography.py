@@ -34,7 +34,6 @@ _BASIS_STATES = {
     ("y", +1): np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
     ("y", -1): np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
 }
-_BASIS_ORDER = [("z", +1), ("z", -1), ("x", +1), ("x", -1), ("y", +1), ("y", -1)]
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,12 @@ def settings_36() -> list[MeasurementSetting]:
     therefore projects onto |ell1, P1>.
     """
     out = []
-    for ba, ea in _BASIS_ORDER:
-        for bb, eb in _BASIS_ORDER:
+    for (ba, ea), state_a in _BASIS_STATES.items():
+        for (bb, eb), state_b in _BASIS_STATES.items():
             out.append(
                 MeasurementSetting(
                     basis_a=ba, eigen_a=ea, basis_b=bb, eigen_b=eb,
-                    state_a=_BASIS_STATES[(ba, ea)], state_b=_BASIS_STATES[(bb, eb)],
+                    state_a=state_a, state_b=state_b,
                 )
             )
     return out
@@ -505,19 +504,18 @@ def mle_reconstruct(
     record : TomographyRecord
     init : DensityMatrix4, optional
         Starting point, projected onto the density matrices; defaults to
-        the linear inversion.
+        the linear inversion (I/4 for a record without net signal counts).
     max_iters : int
     """
     background = record.accidentals()
     counts = record.coincidences
     scale = (counts - background).sum() / 9.0
-    if scale <= 0:
+    if scale <= 0:  # no net signal: the raw counts set the scale, and I/4 the start
         scale = max(counts.sum(), 1.0) / 9.0
-    if init is None:
-        try:
-            init = linear_inversion(record)
-        except ValueError:
+        if init is None:
             init = DensityMatrix4(np.eye(4) / 4.0, require_physical=False)
+    elif init is None:
+        init = linear_inversion(record)
     args = (counts, background, scale)
     rho, evals, evecs = _project(init.matrix)
     nll, gmat = _nll_grad(rho, *args)

@@ -71,10 +71,6 @@ class SkyrmionResult:
     def grid(self) -> GridSpec:
         return self.field.grid
 
-    @property
-    def resolution(self) -> int:
-        return self.grid.samples_per_axis
-
 
 @dataclass
 class ConvergenceRow:
@@ -98,9 +94,8 @@ def _diff(f: np.ndarray, spacing: float) -> np.ndarray:
     )
     for i in list(range(1, half)) + list(range(n - half, n - 1)):
         reach = min(i, n - 1 - i)
-        sub = _CENTRAL_WEIGHTS[2 * min(reach, 4)]
         s = np.zeros_like(f[i])
-        for k, w in enumerate(sub[:reach], start=1):
+        for k, w in enumerate(_CENTRAL_WEIGHTS[2 * reach], start=1):
             s += w * (f[i + k] - f[i - k])
         out[i] = s / spacing
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * spacing)

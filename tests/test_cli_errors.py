@@ -1,0 +1,104 @@
+"""Validation errors of the command line, and output files opened before the work.
+
+Every case exits 1 with exactly one ``error:`` line on standard error.  A
+config error carries the ``line N: `` prefix of the line it names; errors
+that no single line holds (a range missing a key, no sweep points at all)
+carry none.  ``tomo --out``, ``skyrmion --density-out`` and ``converge
+--out`` open their file before the work, so a path that cannot be written
+fails before anything is printed or computed.
+"""
+
+import pytest
+
+from qskyrmion import cli, topology
+from qskyrmion.cli import main
+
+BASE = "ell1 = 0\nell2 = 1\nsamples = 16\n"
+
+
+def run_error(capsys, argv):
+    """Exit code 1, no stdout, and the one ``error:`` line's message."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("sweep = x\nvalues = 1", "line 4: sweep must be 'p' or 'qc', got 'x'"),
+    ("values = a,b", "line 4: cannot parse values list 'a,b'"),
+    ("values = ,", "line 4: values list is empty"),
+    ("start = 0\nstep = 0.5", "range sweep needs 'start', 'stop' and 'step'; missing 'stop'"),
+    ("start = 0\nstop = 1\nstep = 0", "line 6: step must be nonzero"),
+    ("", "sweep needs 'values' or 'start'/'stop'/'step'"),
+    ("values = 1\npipeline = foo",
+     "line 5: pipeline must be 'analytic' or 'tomographic', got 'foo'"),
+], ids=["sweep", "values", "empty-values", "missing-stop", "zero-step", "no-points",
+        "pipeline"])
+def test_config_error_names_its_line(tmp_path, capsys, lines, message):
+    path = tmp_path / "s.cfg"
+    path.write_text(BASE + lines + "\n")
+    assert run_error(capsys, ["sweep", "--config", str(path)]) == message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gallery", "--state", "0,x"], "cannot parse state spec '0,x'"),
+    (["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "64,abc"],
+     "cannot parse resolutions '64,abc'"),
+    (["converge", "--ell1", "0", "--ell2", "1", "--resolutions", ","],
+     "at least one resolution is required"),
+], ids=["state-spec", "resolutions", "no-resolutions"])
+def test_flag_error(capsys, argv, message):
+    assert run_error(capsys, argv) == message
+
+
+def test_sweep_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    def sweep(seed, flags=()):
+        path = tmp_path / f"seed{seed}.cfg"
+        path.write_text(BASE + f"values = 0.8\npipeline = tomographic\nseed = {seed}\n")
+        main(["sweep", "--config", str(path), *flags])
+        return capsys.readouterr().out
+
+    overridden = sweep(7, ["--seed", "11"])
+    assert overridden == sweep(11)
+    assert overridden != sweep(7)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["tomo", "--ell1", "0", "--ell2", "1", "--p", "0.7"], "--out"),
+    (["skyrmion", "--ell1", "0", "--ell2", "1", "--samples", "16"], "--density-out"),
+], ids=["tomo", "skyrmion"])
+def test_unwritable_output_file_fails_before_any_output(tmp_path, capsys, argv, flag):
+    message = run_error(capsys, [*argv, flag, str(tmp_path / "missing" / "f.csv")])
+    assert "No such file or directory" in message
+
+
+def test_converge_unwritable_output_fails_before_the_scan(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "convergence_scan", lambda *a, **k: calls.append(a))
+    argv = ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "16,32",
+            "--out", str(tmp_path / "missing" / "c.csv")]
+    assert "No such file or directory" in run_error(capsys, argv)
+    assert calls == []
+
+
+def test_failure_after_the_output_is_opened_leaves_it_empty(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("scan failed")
+
+    monkeypatch.setattr(cli, "convergence_scan", fail)
+    out = tmp_path / "c.csv"
+    out.write_text("old table\n")
+    argv = ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "16", "--out", str(out)]
+    assert run_error(capsys, argv) == "scan failed"
+    assert out.read_text() == ""
+
+
+def test_allocation_failure_is_a_validation_error(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+    monkeypatch.setattr(topology, "coeff_field", no_memory)
+    argv = ["skyrmion", "--ell1", "0", "--ell2", "1", "--samples", "40000"]
+    assert run_error(capsys, argv) == "Unable to allocate 11.9 GiB for an array"
