@@ -40,6 +40,7 @@ from .tomography import (
     witness_report,
 )
 from .topology import (
+    _resolution_list,
     _window_grid,
     channel_skyrmion_numbers,
     convergence_scan,
@@ -265,6 +266,14 @@ def _create_output(path) -> None:
     open(path, "w").close()
 
 
+def _check_texture_inputs(spec: HybridStateSpec, p: float) -> None:
+    """The charge and weight rules of forming the texture of ``spec`` at
+    channel weight ``p``, for a command to run before it creates its output."""
+    check_charge(spec.ell1)
+    check_charge(spec.ell2)
+    _check_weight(p)
+
+
 def _write_csv(path, header_lines, columns: str, rows) -> None:
     with open(path, "w") as fh:
         fh.writelines(h + "\n" for h in header_lines)
@@ -466,8 +475,11 @@ def run_convergence(
     out=None,
 ):
     """Convergence table across resolutions, optionally persisted as CSV
-    (the file ``out`` is created before the scan)."""
+    (the file ``out`` is created before the scan, once the charges, the
+    weight and the resolutions are checked)."""
     if out is not None:
+        _check_texture_inputs(spec, p)
+        resolutions = _resolution_list(resolutions)
         _create_output(out)
     rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
     if out is not None:
@@ -597,6 +609,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_skyrmion(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
+    _check_texture_inputs(state, args.p)
     grid = _window_grid(state, args.samples, _half_width_arg(args), waist=args.waist)
     if args.density_out:
         _create_output(args.density_out)

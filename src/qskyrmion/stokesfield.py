@@ -69,11 +69,19 @@ class UnitVectorField:
 
     The package writes ``vectors``, shape (n, n, 3), as a view of three
     contiguous (n, n) planes: readers must not assume interleaved rows.
+
+    ``mirrored`` states that reflecting x or y maps every vector S to R S
+    with one orthogonal R of determinant -1, so that the Skyrmion density is
+    even in x and in y, and that ``mask`` is symmetric under both
+    reflections; ``topology.skyrmion_density`` then differentiates one
+    quadrant only.  Only ``topology.channel_skyrmion_numbers`` sets it, on
+    the texture of a state whose Stokes map it has checked exactly.
     """
 
     vectors: np.ndarray
     mask: np.ndarray
     grid: GridSpec
+    mirrored: bool = False
 
     @property
     def collapsed(self) -> bool:
@@ -99,6 +107,24 @@ def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     S = K^T h over columns 1..3 of K, and h = F n + d on unmasked points."""
     k = _stokes_map(rho)[:, 1:]
     return k.T @ _F, k.T @ _D
+
+
+def _mirror_symmetric(rho, mask: np.ndarray) -> bool:
+    """Whether the texture of ``rho`` over a :func:`~qskyrmion.lgmodes.coeff_field`
+    grid with degenerate set ``mask`` is ``mirrored`` (:class:`UnitVectorField`).
+
+    Read from K by exact comparisons: |a|^2 and |b|^2 feed S3 alone and
+    (n_x, n_y) feed (S1, S2) alone, through Q = K[2:4, 1:3], a scaled
+    rotation or reflection; and ``mask`` equals its reflections in x and y.
+    Then S3 is radial, and the sign flips of (n_x, n_y) by which a grid's
+    quadrants differ are planar reflections, which Q turns into planar
+    reflections of (S1, S2).
+    """
+    k = _stokes_map(rho)
+    (q00, q01), (q10, q11) = k[2:4, 1:3]
+    return bool(not k[0:2, 1:3].any() and not k[2:4, 3].any()
+                and (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10)
+                and (mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all())
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:

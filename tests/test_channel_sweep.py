@@ -133,7 +133,9 @@ def test_texture_is_exactly_unchanged_above_the_degeneracy_threshold():
 
 def test_growing_mask_zeroes_its_own_stencil_footprint():
     # weak polarization contrast and coherence put |S| between ~1e-7 and
-    # ~4e-6, so the degenerate set grows at every weight below 1
+    # ~4e-6, so the degenerate set grows at every weight below 1.  The state
+    # passes the mirror gate, so each reference texture is mirrored, as the
+    # channel's own texture is (test_quadrant_density compares the two stencils)
     coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 64))
     rho = np.diag([0.25 + 2e-6, 0.25 - 2e-6, 0.25 - 2e-6, 0.25 + 2e-6]).astype(complex)
     rho[0, 3] = rho[3, 0] = 1e-7
@@ -144,7 +146,7 @@ def test_growing_mask_zeroes_its_own_stencil_footprint():
     for p, result in zip(weights, channel_skyrmion_numbers(rho, coeffs, weights)):
         mask = (p * norm < DEGENERACY_EPS) | coeffs.mask
         vectors = np.where(mask[..., None], 0.0, field.vectors)
-        ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid))
+        ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid, mirrored=True))
         assert (result.number, result.masked_fraction) == (ref.number, ref.masked_fraction)
         assert (result.density == ref.density).all()
         fractions.append(result.masked_fraction)

@@ -5,7 +5,8 @@ config error carries the ``line N: `` prefix of the line it names; errors
 that no single line holds (a range missing a key, no sweep points at all)
 carry none.  ``tomo --out``, ``skyrmion --density-out`` and ``converge
 --out`` open their file before the work, so a path that cannot be written
-fails before anything is printed or computed.
+fails before anything is printed or computed, but after the checks of
+charges, weight and resolutions, so rejected input leaves no file.
 """
 
 import pytest
@@ -81,6 +82,29 @@ def test_converge_unwritable_output_fails_before_the_scan(tmp_path, capsys, monk
             "--out", str(tmp_path / "missing" / "c.csv")]
     assert "No such file or directory" in run_error(capsys, argv)
     assert calls == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["skyrmion", "--ell1", "0", "--ell2", "1", "--samples", "32", "--p", "1.5",
+      "--density-out"], "noise weight p must lie in [0, 1], got 1.5"),
+    (["converge", "--ell1", "0", "--ell2", "1", "--p", "1.5", "--out"],
+     "noise weight p must lie in [0, 1], got 1.5"),
+    (["converge", "--ell1", "0", "--ell2", "1", "--resolutions", ",", "--out"],
+     "at least one resolution is required"),
+    (["skyrmion", "--ell1", "0", "--ell2", "300", "--half-width", "5", "--samples", "32",
+      "--density-out"], "|ell| = 300 exceeds 170"),
+    (["converge", "--ell1", "0", "--ell2", "300", "--half-width", "5", "--resolutions", "16",
+      "--out"], "|ell| = 300 exceeds 170"),
+], ids=["skyrmion-p", "converge-p", "converge-no-resolutions", "skyrmion-charge",
+        "converge-charge"])
+def test_rejected_input_creates_no_output(tmp_path, capsys, argv, message):
+    # weight, charge and resolution rules run before the output file is created
+    out = tmp_path / "f.csv"
+    assert run_error(capsys, [*argv, str(out)]).startswith(message)
+    assert not out.exists()
+    out.write_bytes(b"old table\n")
+    assert run_error(capsys, [*argv, str(out)]).startswith(message)
+    assert out.read_bytes() == b"old table\n"
 
 
 def test_failure_after_the_output_is_opened_leaves_it_empty(tmp_path, capsys, monkeypatch):
