@@ -247,17 +247,22 @@ def coeff_field(
     ab = amag * bmag
     ab *= 2.0
     planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
-    parity = -1.0 if state.delta_ell % 2 else 1.0
-    # x -> -x takes phi to pi - phi, y -> -y takes it to -phi
     coords = np.empty((4, n, n))
-    for plane, out, sign_x, sign_y in zip(planes, coords, (1.0, 1.0, parity, -parity),
-                                          (1.0, 1.0, 1.0, -1.0)):
+    for plane, out, sign_x, sign_y in zip(planes, coords, *_reflection_signs(state)):
         plane[qmask] = 0.0
         _unfold(plane, out, sign_x, sign_y)
     mask = np.empty((n, n), dtype=bool)
     _unfold(qmask, mask)
     return CoeffField(mask=mask, coords=coords.reshape(4, -1).T, grid=grid,
                       state=state, waist=waist)
+
+
+def _reflection_signs(state: HybridStateSpec) -> tuple[tuple, tuple]:
+    """The signs by which x -> -x and y -> -y multiply each of the homogeneous
+    coordinates (|a|^2, |b|^2, n_x, n_y) of ``state`` (:func:`coeff_field`):
+    x -> -x takes phi to pi - phi, y -> -y takes it to -phi."""
+    parity = -1.0 if state.delta_ell % 2 else 1.0
+    return (1.0, 1.0, parity, -parity), (1.0, 1.0, 1.0, -1.0)
 
 
 def _unfold(quadrant: np.ndarray, out: np.ndarray, sign_x: float = 1.0,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import DensityMatrix4, _as_matrix
-from .lgmodes import CoeffField, GridSpec
+from .lgmodes import CoeffField, GridSpec, _reflection_signs
 
 DEGENERACY_EPS = 1e-6
 
@@ -69,19 +69,11 @@ class UnitVectorField:
 
     The package writes ``vectors``, shape (n, n, 3), as a view of three
     contiguous (n, n) planes: readers must not assume interleaved rows.
-
-    ``mirrored`` states that reflecting x or y maps every vector S to R S
-    with one orthogonal R of determinant -1, so that the Skyrmion density is
-    even in x and in y, and that ``mask`` is symmetric under both
-    reflections; ``topology.skyrmion_density`` then differentiates one
-    quadrant only.  Only ``topology.channel_skyrmion_numbers`` sets it, on
-    the texture of a state whose Stokes map it has checked exactly.
     """
 
     vectors: np.ndarray
     mask: np.ndarray
     grid: GridSpec
-    mirrored: bool = False
 
     @property
     def collapsed(self) -> bool:
@@ -109,22 +101,34 @@ def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     return k.T @ _F, k.T @ _D
 
 
-def _mirror_symmetric(rho, mask: np.ndarray) -> bool:
-    """Whether the texture of ``rho`` over a :func:`~qskyrmion.lgmodes.coeff_field`
-    grid with degenerate set ``mask`` is ``mirrored`` (:class:`UnitVectorField`).
+def _mirror_symmetric(rho, coeffs: CoeffField, mask: np.ndarray) -> bool:
+    """Whether reflecting x or y maps the texture of ``rho`` over ``coeffs``
+    to R S, with one orthogonal R of determinant -1, and maps the
+    degenerate set ``mask`` to itself; the Skyrmion density is then even
+    in x and in y.
 
-    Read from K by exact comparisons: |a|^2 and |b|^2 feed S3 alone and
+    Read by exact comparisons.  On K: |a|^2 and |b|^2 feed S3 alone and
     (n_x, n_y) feed (S1, S2) alone, through Q = K[2:4, 1:3], a scaled
-    rotation or reflection; and ``mask`` equals its reflections in x and y.
-    Then S3 is radial, and the sign flips of (n_x, n_y) by which a grid's
-    quadrants differ are planar reflections, which Q turns into planar
-    reflections of (S1, S2).
+    rotation or reflection, so S3 is radial and Q turns planar reflections
+    of (n_x, n_y) into planar reflections of (S1, S2).  On the grid: every
+    plane of ``coeffs.coords`` equals its reflections in x and in y times
+    the signs :func:`~qskyrmion.lgmodes.coeff_field` writes them with
+    (``lgmodes._reflection_signs``: planar reflections of (n_x, n_y)), and
+    ``mask`` equals its reflections.  On an odd grid this asks the centre
+    row of a sign -1 plane to be exactly 0, which the rounding of
+    cos(dl pi/2) or sin(dl pi/2) in ``coeff_field`` breaks unless dl = 0.
     """
     k = _stokes_map(rho)
     (q00, q01), (q10, q11) = k[2:4, 1:3]
-    return bool(not k[0:2, 1:3].any() and not k[2:4, 3].any()
-                and (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10)
-                and (mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all())
+    if (k[0:2, 1:3].any() or k[2:4, 3].any()
+            or not (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10)
+            or not ((mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all())):
+        return False
+    planes = coeffs.coords.T.reshape(4, *mask.shape)
+    m = (mask.shape[0] + 1) // 2  # the rows (columns) up to the centre meet every mirror pair
+    return all((plane[:m] == sign_x * plane[::-1][:m]).all()
+               and (plane[:, :m] == sign_y * plane[:, ::-1][:, :m]).all()
+               for plane, sign_x, sign_y in zip(planes, *_reflection_signs(coeffs.state)))
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:

@@ -110,13 +110,6 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     Masked points and every point whose difference stencil touches one
     contribute zero, so envelope-underflow tails never inject noise.
 
-    A ``mirrored`` field's density is even in x and in y, so the stencil
-    runs only on the quadrant x, y >= 0 (the centre row and column included
-    when n is odd) and the STENCIL_ORDER // 2 rows and columns before it,
-    and the quadrant is reflected into the other three.  Its values differ
-    from the whole grid's stencil by that stencil's own rounding asymmetry
-    (measured at up to 2e-14).
-
     Parameters
     ----------
     field : UnitVectorField
@@ -125,6 +118,20 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     Returns
     -------
     (n, n) ndarray
+    """
+    return _density(field, quadrant=False)
+
+
+def _density(field: UnitVectorField, quadrant: bool) -> np.ndarray:
+    """:func:`skyrmion_density` of ``field``, from one quadrant if ``quadrant``.
+
+    ``quadrant`` is for a texture that passed ``stokesfield._mirror_symmetric``:
+    its density is even in x and in y and its mask symmetric in both, so the
+    stencil runs only on the quadrant x, y >= 0 (the centre row and column
+    included when n is odd) and the STENCIL_ORDER // 2 rows and columns
+    before it, and the quadrant is reflected into the other three.  Its
+    values differ from the whole grid's stencil by that stencil's own
+    rounding asymmetry (measured at up to 2e-14).
     """
     grid = field.grid
     n = grid.samples_per_axis
@@ -136,7 +143,7 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     planes = np.moveaxis(vectors, -1, 0)
     half = STENCIL_ORDER // 2
     lo = n // 2 - half
-    if field.mirrored and lo >= 0:
+    if quadrant and lo >= 0:
         density = np.empty((n, n))
         _unfold(_plane_density(planes[:, lo:, lo:], grid.spacing)[half:, half:], density)
     else:
@@ -213,14 +220,15 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     (S1, S2, S3) of p rho + (1 - p) I/4 is exactly p times that of ``rho``.
     The unit texture is therefore the same at every p > 0; only the
     degenerate set p |S| < DEGENERACY_EPS grows as p falls.  The texture and
-    its density are built once, on the call.  The texture is ``mirrored``,
-    and its density built from one quadrant, when ``rho`` and its degenerate
-    set pass ``stokesfield._mirror_symmetric``, as every channel output of
-    ``pure_state`` does on a ``coeff_field`` grid.  The numbers match the
-    per-point chain ``skyrmion_number(normalize_stokes(stokes_field(
-    apply_isotropic_noise(rho, p), coeffs)))`` up to the rounding of that
-    chain's mixed state, including the exact N = 0 of a fully masked
-    texture at p = 0.
+    its density are built once, on the call.  The density comes from one
+    quadrant when ``rho``, ``coeffs`` and the degenerate set pass
+    ``stokesfield._mirror_symmetric``, as every channel output of
+    ``pure_state`` does on an even ``coeff_field`` grid, and then differs
+    from :func:`skyrmion_density` of the same texture by at most ~2e-14.
+    The numbers match the per-point chain ``skyrmion_number(
+    normalize_stokes(stokes_field(apply_isotropic_noise(rho, p), coeffs)))``
+    up to the rounding of that chain's mixed state and of the quadrant,
+    including the exact N = 0 of a fully masked texture at p = 0.
 
     Parameters
     ----------
@@ -240,7 +248,8 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         texture and a read-only density.  Any other weight gets the p = 1
         texture with its set zeroed (a read-only zero view once every point
         is masked) and the p = 1 density zeroed on the set's stencil
-        footprint, which is what the stencil gives on that texture.
+        footprint, which is what the stencil gives on that texture (up to
+        the quadrant's rounding, <= 2e-14, when the density comes from one).
     """
     weights = [float(p) for p in weights]
     for p in weights:
@@ -248,8 +257,9 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     raw = stokes_field(rho, coeffs)
     field = normalize_stokes(raw, norm := raw.vector_norm())
     del raw  # the Stokes planes are not held through the density's temporaries
-    field.mirrored = _mirror_symmetric(rho, field.mask)
-    result = skyrmion_number(field)
+    density = (None if field.collapsed
+               else _density(field, _mirror_symmetric(rho, coeffs, field.mask)))
+    result = _result(density, field.mask, field, field.mask)
     result.density.flags.writeable = False
     # p |S| >= p low at every unmasked point, rounding being monotone: p's set grows
     # beyond p = 1's exactly when p low < DEGENERACY_EPS (never, with no such point)

@@ -133,22 +133,28 @@ def test_texture_is_exactly_unchanged_above_the_degeneracy_threshold():
 
 def test_growing_mask_zeroes_its_own_stencil_footprint():
     # weak polarization contrast and coherence put |S| between ~1e-7 and
-    # ~4e-6, so the degenerate set grows at every weight below 1.  The state
-    # passes the mirror gate, so each reference texture is mirrored, as the
-    # channel's own texture is (test_quadrant_density compares the two stencils)
+    # ~4e-6, so the degenerate set grows at every weight below 1.  The stencil
+    # on a grown texture gives the p = 1 density zeroed on the grown set's
+    # footprint, and the channel zeroes that footprint of its own p = 1
+    # density, which it builds from one quadrant of this mirror-symmetric
+    # texture (test_quadrant_density holds it to the whole-grid stencil)
     coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 64))
     rho = np.diag([0.25 + 2e-6, 0.25 - 2e-6, 0.25 - 2e-6, 0.25 + 2e-6]).astype(complex)
     rho[0, 3] = rho[3, 0] = 1e-7
     raw = stokes_field(rho, coeffs)
     norm, field = raw.vector_norm(), normalize_stokes(raw)
+    whole = skyrmion_number(field).density
     weights = [1.0, 0.8, 0.6, 0.4, 0.25]
+    results = list(channel_skyrmion_numbers(rho, coeffs, weights))
     fractions = []
-    for p, result in zip(weights, channel_skyrmion_numbers(rho, coeffs, weights)):
+    for p, result in zip(weights, results):
         mask = (p * norm < DEGENERACY_EPS) | coeffs.mask
         vectors = np.where(mask[..., None], 0.0, field.vectors)
-        ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid, mirrored=True))
-        assert (result.number, result.masked_fraction) == (ref.number, ref.masked_fraction)
-        assert (result.density == ref.density).all()
+        ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid))
+        footprint = topology._stencil_footprint(mask)
+        assert (ref.density == np.where(footprint, 0.0, whole)).all()
+        assert (result.density == np.where(footprint, 0.0, results[0].density)).all()
+        assert result.masked_fraction == ref.masked_fraction
         fractions.append(result.masked_fraction)
     assert 0.0 < fractions[0] and all(np.diff(fractions) > 0) and fractions[-1] < 1.0
 
@@ -182,10 +188,13 @@ def test_channel_numbers_match_per_point_chain(ell1, ell2, delta, p):
 
 
 class CountingDensity:
+    """Counts the densities built: every one, whole-grid (skyrmion_density)
+    or from a quadrant, comes from topology._density."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
-        self._density = topology.skyrmion_density
-        monkeypatch.setattr(topology, "skyrmion_density", self)
+        self._density = topology._density
+        monkeypatch.setattr(topology, "_density", self)
 
     def __call__(self, *args, **kwargs):
         self.calls += 1

@@ -47,7 +47,8 @@ class CountingCalls:
 
 
 def test_gallery_builds_one_texture_per_state(tmp_path, monkeypatch):
-    names = ("coeff_field", "stokes_field", "normalize_stokes", "skyrmion_density")
+    # topology._density builds every density, whole-grid or from a quadrant
+    names = ("coeff_field", "stokes_field", "normalize_stokes", "_density")
     counter = CountingCalls(monkeypatch, *names)
     run_topology_gallery(SPECS, 0.5, samples=32, out_dir=tmp_path)
     assert counter.calls == dict.fromkeys(names, len(SPECS))
