@@ -40,7 +40,8 @@ from .tomography import (
     witness_report,
 )
 from .topology import (
-    _resolution_list,
+    _convergence_grids,
+    _sweep_results,
     _window_grid,
     channel_skyrmion_numbers,
     convergence_scan,
@@ -335,16 +336,19 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
        index) with one :func:`mle_reconstruct` call and takes the contrast
        from the record.  One stacked call gives every state's witnesses.
     2. Per point: the Skyrmion number, and the row.  Channel outputs share
-       one texture (:func:`channel_skyrmion_numbers`); a reconstructed
-       state's texture is an affine image of the grid's OAM Bloch texture,
-       whose density is built once and pulled back (:func:`pullback_skyrmion_number`).
+       one texture (:func:`channel_skyrmion_numbers`), which on an even grid
+       is formed only on one quadrant and its stencil halo
+       (``topology._sweep_results``); a reconstructed state's texture is an
+       affine image of the grid's OAM Bloch texture, whose density is built
+       once and pulled back (:func:`pullback_skyrmion_number`).
     """
-    coeffs = coeff_field(cfg.state, cfg.grid(), waist=cfg.waist)
+    grid = cfg.grid()
     pure = pure_state(cfg.state)
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
     contrasts = [contrast_from_p(p) for p in weights]  # every weight is checked here
     mats = _isotropic_mix(pure.matrix, np.array(weights)[:, None, None])
     if cfg.pipeline == "tomographic":
+        coeffs = coeff_field(cfg.state, grid, waist=cfg.waist)
         estimates = []
         for index, (p, rho) in enumerate(zip(weights, mats)):
             record = _simulate_record(rho, p, cfg, deterministic, cfg.seed + index)
@@ -356,7 +360,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
         results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho in mats)
     else:
         converged = [True] * len(weights)
-        results = channel_skyrmion_numbers(pure, coeffs, weights)
+        results = _sweep_results(pure, cfg.state, grid, weights, waist=cfg.waist)
     witnesses = zip(*_witnesses(mats, cfg.state))
     return [
         SweepRow(p, qc, *map(float, values), result.number, result.residual,
@@ -476,10 +480,11 @@ def run_convergence(
 ):
     """Convergence table across resolutions, optionally persisted as CSV
     (the file ``out`` is created before the scan, once the charges, the
-    weight and the resolutions are checked)."""
+    weight, the waist, the resolutions and their windows are checked)."""
     if out is not None:
         _check_texture_inputs(spec, p)
-        resolutions = _resolution_list(resolutions)
+        resolutions = list(resolutions)
+        _convergence_grids(spec, resolutions, half_width, waist)
         _create_output(out)
     rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
     if out is not None:

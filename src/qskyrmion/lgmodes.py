@@ -238,6 +238,21 @@ def coeff_field(
     -------
     CoeffField
     """
+    coords, mask = _coords_block(state, grid, waist, grid.samples_per_axis // 2)
+    return CoeffField(mask=mask, coords=coords.reshape(4, -1).T, grid=grid,
+                      state=state, waist=waist)
+
+
+def _coords_block(state: HybridStateSpec, grid: GridSpec, waist: float, halo: int):
+    """The planes ``[:, lo:, lo:]``, lo = n//2 - ``halo``, of the homogeneous
+    coordinates :func:`coeff_field` writes, and the whole (n, n) mask.
+
+    The block is the quadrant x, y >= 0 (the centre row and column included
+    when n is odd), evaluated once, and the ``halo`` rows and columns before
+    it, its reflections times :func:`_reflection_signs`; ``halo = n//2`` is
+    the whole grid.  So a smaller block holds the same bits as that part of
+    the whole grid's planes, and the rest of the grid is never formed.
+    """
     check_waist(waist)
     n = grid.samples_per_axis
     q = grid.axis()[n // 2 :]
@@ -247,14 +262,14 @@ def coeff_field(
     ab = amag * bmag
     ab *= 2.0
     planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
-    coords = np.empty((4, n, n))
-    for plane, out, sign_x, sign_y in zip(planes, coords, *_reflection_signs(state)):
+    size = len(q) + halo
+    block = np.empty((4, size, size))
+    for plane, out, sign_x, sign_y in zip(planes, block, *_reflection_signs(state)):
         plane[qmask] = 0.0
-        _unfold(plane, out, sign_x, sign_y)
+        _unfold(plane, out, sign_x, sign_y, odd=n % 2)
     mask = np.empty((n, n), dtype=bool)
     _unfold(qmask, mask)
-    return CoeffField(mask=mask, coords=coords.reshape(4, -1).T, grid=grid,
-                      state=state, waist=waist)
+    return block, mask
 
 
 def _reflection_signs(state: HybridStateSpec) -> tuple[tuple, tuple]:
@@ -266,15 +281,20 @@ def _reflection_signs(state: HybridStateSpec) -> tuple[tuple, tuple]:
 
 
 def _unfold(quadrant: np.ndarray, out: np.ndarray, sign_x: float = 1.0,
-            sign_y: float = 1.0) -> None:
-    """Fill the (n, n) ``out`` from its quadrant x, y >= 0: rows x < 0 are
-    the rows x > 0 times ``sign_x``, then columns y < 0 the columns y > 0
-    times ``sign_y``.  A sign flip is 0 - x, so masked zeros stay +0.0."""
-    half = out.shape[0] // 2
+            sign_y: float = 1.0, odd: int | None = None) -> None:
+    """Fill ``out`` from ``quadrant``, the points x, y >= 0 of an (n, n) grid
+    (its first row and column are x = 0 and y = 0 when n is odd), which go
+    to the last rows and columns of ``out``: the whole grid, or a block of
+    its last rows and columns with ``odd`` = n % 2.  Each row before the
+    quadrant is the row of its mirror image x -> -x times ``sign_x``, then
+    each column before it the column of its mirror image y -> -y times
+    ``sign_y``.  A sign flip is 0 - x, so masked zeros stay +0.0."""
+    odd = out.shape[0] % 2 if odd is None else odd
+    half = out.shape[0] - quadrant.shape[0]
     out[half:, half:] = quadrant
-    out[:half, half:] = quadrant[: -half - 1 : -1]
+    out[:half, half:] = quadrant[odd : odd + half][::-1]
     if sign_x < 0:
         np.subtract(0.0, out[:half, half:], out=out[:half, half:])
-    out[:, :half] = out[:, : -half - 1 : -1]
+    out[:, :half] = out[:, half + odd : 2 * half + odd][:, ::-1]
     if sign_y < 0:
         np.subtract(0.0, out[:, :half], out=out[:, :half])

@@ -60,7 +60,7 @@ class StokesField:
     grid: GridSpec
 
     def vector_norm(self) -> np.ndarray:
-        return np.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
+        return _vector_norm(self.s1, self.s2, self.s3)
 
 
 @dataclass
@@ -101,28 +101,35 @@ def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     return k.T @ _F, k.T @ _D
 
 
+def _mirror_map(k: np.ndarray) -> bool:
+    """Whether the Stokes map ``k`` (:func:`_stokes_map`) turns the
+    reflections x -> -x and y -> -y of the grid into S -> R S, with one
+    orthogonal R of determinant -1, read by exact comparisons: |a|^2 and
+    |b|^2 feed S3 alone and (n_x, n_y) feed (S1, S2) alone, through
+    Q = K[2:4, 1:3], a scaled rotation or reflection.  S3 is then radial and
+    Q turns planar reflections of (n_x, n_y) into planar reflections of
+    (S1, S2)."""
+    (q00, q01), (q10, q11) = k[2:4, 1:3]
+    return (not (k[0:2, 1:3].any() or k[2:4, 3].any())
+            and (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10))
+
+
 def _mirror_symmetric(rho, coeffs: CoeffField, mask: np.ndarray) -> bool:
     """Whether reflecting x or y maps the texture of ``rho`` over ``coeffs``
     to R S, with one orthogonal R of determinant -1, and maps the
     degenerate set ``mask`` to itself; the Skyrmion density is then even
     in x and in y.
 
-    Read by exact comparisons.  On K: |a|^2 and |b|^2 feed S3 alone and
-    (n_x, n_y) feed (S1, S2) alone, through Q = K[2:4, 1:3], a scaled
-    rotation or reflection, so S3 is radial and Q turns planar reflections
-    of (n_x, n_y) into planar reflections of (S1, S2).  On the grid: every
-    plane of ``coeffs.coords`` equals its reflections in x and in y times
-    the signs :func:`~qskyrmion.lgmodes.coeff_field` writes them with
+    Read by exact comparisons: of K (:func:`_mirror_map`), of every plane
+    of ``coeffs.coords`` with its reflections in x and in y times the signs
+    :func:`~qskyrmion.lgmodes.coeff_field` writes them with
     (``lgmodes._reflection_signs``: planar reflections of (n_x, n_y)), and
-    ``mask`` equals its reflections.  On an odd grid this asks the centre
+    of ``mask`` with its reflections.  On an odd grid this asks the centre
     row of a sign -1 plane to be exactly 0, which the rounding of
     cos(dl pi/2) or sin(dl pi/2) in ``coeff_field`` breaks unless dl = 0.
     """
-    k = _stokes_map(rho)
-    (q00, q01), (q10, q11) = k[2:4, 1:3]
-    if (k[0:2, 1:3].any() or k[2:4, 3].any()
-            or not (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10)
-            or not ((mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all())):
+    if not (_mirror_map(_stokes_map(rho))
+            and (mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all()):
         return False
     planes = coeffs.coords.T.reshape(4, *mask.shape)
     m = (mask.shape[0] + 1) // 2  # the rows (columns) up to the centre meet every mirror pair
@@ -220,8 +227,19 @@ def normalize_stokes(field: StokesField, norm: np.ndarray | None = None) -> Unit
     """
     if norm is None:
         norm = field.vector_norm()
-    degenerate = (norm < DEGENERACY_EPS) | field.mask
-    planes, keep = np.zeros((3,) + norm.shape), ~degenerate
-    for component, plane in zip((field.s1, field.s2, field.s3), planes):
-        np.divide(component, norm, out=plane, where=keep)
+    planes, degenerate = _unit_planes((field.s1, field.s2, field.s3), norm, field.mask)
     return UnitVectorField(np.moveaxis(planes, 0, -1), degenerate, field.grid)
+
+
+def _vector_norm(s1, s2, s3) -> np.ndarray:
+    return np.sqrt(s1**2 + s2**2 + s3**2)
+
+
+def _unit_planes(components, norm: np.ndarray, mask: np.ndarray):
+    """The (3, ...) planes of (S1, S2, S3) / ``norm``, zero on the degenerate
+    set (``norm`` < DEGENERACY_EPS, or ``mask``), and that set."""
+    degenerate = (norm < DEGENERACY_EPS) | mask
+    planes, keep = np.zeros((3,) + norm.shape), ~degenerate
+    for component, plane in zip(components, planes):
+        np.divide(component, norm, out=plane, where=keep)
+    return planes, degenerate

@@ -22,14 +22,25 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .biphoton import HybridStateSpec, _check_weight, apply_isotropic_noise, pure_state
-from .lgmodes import CoeffField, GridSpec, _unfold, check_charge, check_waist, coeff_field
+from .lgmodes import (
+    CoeffField,
+    GridSpec,
+    _coords_block,
+    _unfold,
+    check_charge,
+    check_waist,
+    coeff_field,
+)
 from .stokesfield import (
     DEGENERACY_EPS,
     UnitVectorField,
     _F,
     _T,
+    _mirror_map,
     _mirror_symmetric,
     _stokes_map,
+    _unit_planes,
+    _vector_norm,
     normalize_stokes,
     stokes_field,
 )
@@ -119,36 +130,34 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     -------
     (n, n) ndarray
     """
-    return _density(field, quadrant=False)
+    n = field.grid.samples_per_axis
+    if field.vectors.shape != (n, n, 3):
+        raise ValueError(
+            f"field shape {field.vectors.shape} does not match grid ({n}, {n}, 3)"
+        )
+    return _density(np.moveaxis(field.vectors, -1, 0), field.mask, field.grid.spacing)
 
 
-def _density(field: UnitVectorField, quadrant: bool) -> np.ndarray:
-    """:func:`skyrmion_density` of ``field``, from one quadrant if ``quadrant``.
+def _density(planes: np.ndarray, mask: np.ndarray, h: float, block: bool = False) -> np.ndarray:
+    """The density over the grid of ``mask``, zeroed on its stencil footprint,
+    from a texture's (3, n, n) component planes at spacing ``h``, or, if
+    ``block``, from their block ``[:, lo:, lo:]``, lo = n//2 - STENCIL_ORDER//2.
 
-    ``quadrant`` is for a texture that passed ``stokesfield._mirror_symmetric``:
-    its density is even in x and in y and its mask symmetric in both, so the
-    stencil runs only on the quadrant x, y >= 0 (the centre row and column
+    A block is for a texture whose density is even in x and in y and whose
+    mask is symmetric in both (``stokesfield._mirror_symmetric``): the
+    stencil runs on the quadrant x, y >= 0 (the centre row and column
     included when n is odd) and the STENCIL_ORDER // 2 rows and columns
     before it, and the quadrant is reflected into the other three.  Its
     values differ from the whole grid's stencil by that stencil's own
     rounding asymmetry (measured at up to 2e-14).
     """
-    grid = field.grid
-    n = grid.samples_per_axis
-    vectors = field.vectors
-    if vectors.shape != (n, n, 3):
-        raise ValueError(
-            f"field shape {vectors.shape} does not match grid ({n}, {n}, 3)"
-        )
-    planes = np.moveaxis(vectors, -1, 0)
-    half = STENCIL_ORDER // 2
-    lo = n // 2 - half
-    if quadrant and lo >= 0:
-        density = np.empty((n, n))
-        _unfold(_plane_density(planes[:, lo:, lo:], grid.spacing)[half:, half:], density)
+    if block:
+        density = np.empty(mask.shape)
+        half = STENCIL_ORDER // 2
+        _unfold(_plane_density(planes, h)[half:, half:], density)
     else:
-        density = _plane_density(planes, grid.spacing)
-    density[_stencil_footprint(field.mask)] = 0.0
+        density = _plane_density(planes, h)
+    density[_stencil_footprint(mask)] = 0.0
     return density
 
 
@@ -257,8 +266,13 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     raw = stokes_field(rho, coeffs)
     field = normalize_stokes(raw, norm := raw.vector_norm())
     del raw  # the Stokes planes are not held through the density's temporaries
-    density = (None if field.collapsed
-               else _density(field, _mirror_symmetric(rho, coeffs, field.mask)))
+    density = None
+    if not field.collapsed:
+        planes = np.moveaxis(field.vectors, -1, 0)
+        lo = len(field.mask) // 2 - STENCIL_ORDER // 2
+        block = lo >= 0 and _mirror_symmetric(rho, coeffs, field.mask)
+        density = _density(planes[:, lo:, lo:] if block else planes, field.mask,
+                           field.grid.spacing, block)
     result = _result(density, field.mask, field, field.mask)
     result.density.flags.writeable = False
     # p |S| >= p low at every unmasked point, rounding being monotone: p's set grows
@@ -277,6 +291,47 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
                           UnitVectorField(vectors, degenerate, field.grid), field.mask)
 
     return outputs()
+
+
+def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
+                   waist: float) -> Iterator[SkyrmionResult]:
+    """``channel_skyrmion_numbers(rho, coeff_field(spec, grid, waist=waist),
+    weights)`` for a sweep, which reads only the numbers, residuals and
+    masked fractions; ``weights`` are already checked.
+
+    When K of ``rho`` passes ``stokesfield._mirror_map`` and the grid is
+    even or dl = 0, the texture is mirror-symmetric (``_mirror_symmetric``),
+    and its Stokes planes, norm, unit texture and density are formed from
+    the block ``[lo:, lo:]`` of the coordinates alone
+    (``lgmodes._coords_block`` with a STENCIL_ORDER // 2 halo); only the
+    density and the mask cover the grid.  The degenerate set is then the
+    envelope mask at every weight p > 0 for which p times the smallest
+    unmasked |S| of the block is at least 2 DEGENERACY_EPS (the |S| of the
+    other quadrants are those of their mirror images up to rounding), and
+    every point at p = 0.  Any other weight, K or grid falls back to
+    ``channel_skyrmion_numbers``.  A result of the block carries as
+    ``field`` the texture of the block alone, with the whole grid.
+    """
+    k = _stokes_map(rho)
+    if _mirror_map(k) and not (grid.samples_per_axis % 2 and spec.delta_ell):
+        coords, mask = _coords_block(spec, grid, waist, STENCIL_ORDER // 2)
+        size = coords.shape[1]
+        block_mask = mask[-size:, -size:]
+        _, s1, s2, s3 = (k.T @ coords.reshape(4, -1)).reshape(coords.shape)
+        norm = _vector_norm(s1, s2, s3)
+        low = float(norm.min(initial=math.inf, where=~block_mask))
+        if all(p * low >= 2.0 * DEGENERACY_EPS for p in weights if p > 0):
+            planes, degenerate = _unit_planes((s1, s2, s3), norm, block_mask)
+            field = UnitVectorField(np.moveaxis(planes, 0, -1), degenerate, grid)
+            everywhere = np.ones(mask.shape, dtype=bool)
+            zeros = UnitVectorField(np.broadcast_to(0.0, field.vectors.shape),
+                                    everywhere[-size:, -size:], grid)
+            texture = _result(_density(planes, mask, grid.spacing, block=True),
+                              mask, field, mask)
+            collapsed = _result(None, everywhere, zeros, mask)
+            texture.density.flags.writeable = collapsed.density.flags.writeable = False
+            return iter([texture if p else collapsed for p in weights])
+    return channel_skyrmion_numbers(rho, coeff_field(spec, grid, waist=waist), weights)
 
 
 def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> SkyrmionResult:
@@ -442,19 +497,21 @@ def convergence_scan(
     half_width : float, optional
         Window half-width; defaults to the suggested tail-safe window.
     """
-    resolutions = _resolution_list(resolutions)
     rows = []
-    for n in resolutions:
-        grid = _window_grid(spec, int(n), half_width, waist=waist)
-        fld = texture_for_state(spec, p, grid, waist=waist)
-        res = skyrmion_number(fld)
-        rows.append(ConvergenceRow(resolution=int(n), number=res.number, residual=res.residual))
+    for grid in _convergence_grids(spec, resolutions, half_width, waist):
+        res = skyrmion_number(texture_for_state(spec, p, grid, waist=waist))
+        rows.append(ConvergenceRow(resolution=grid.samples_per_axis, number=res.number,
+                                   residual=res.residual))
     return rows
 
 
-def _resolution_list(resolutions) -> list:
-    """The resolutions of a :func:`convergence_scan` as a list; ValueError if empty."""
-    resolutions = list(resolutions)
-    if not resolutions:
+def _convergence_grids(spec: HybridStateSpec, resolutions, half_width: float | None,
+                       waist: float) -> list[GridSpec]:
+    """The window of each resolution of a :func:`convergence_scan`, so the
+    waist, every window and every sample count are checked before any
+    texture is formed; ValueError if there is no resolution."""
+    check_waist(waist)
+    grids = [_window_grid(spec, int(n), half_width, waist=waist) for n in resolutions]
+    if not grids:
         raise ValueError("at least one resolution is required")
-    return resolutions
+    return grids

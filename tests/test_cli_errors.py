@@ -6,12 +6,15 @@ that no single line holds (a range missing a key, no sweep points at all)
 carry none.  ``tomo --out``, ``skyrmion --density-out`` and ``converge
 --out`` open their file before the work, so a path that cannot be written
 fails before anything is printed or computed, but after the checks of
-charges, weight and resolutions, so rejected input leaves no file.
+charges, weight and resolutions (and, for ``run_convergence``, of the waist
+and the window), so rejected input leaves no file.
 """
+
+import re
 
 import pytest
 
-from qskyrmion import cli, topology
+from qskyrmion import HybridStateSpec, cli, topology
 from qskyrmion.cli import main
 
 BASE = "ell1 = 0\nell2 = 1\nsamples = 16\n"
@@ -104,6 +107,23 @@ def test_rejected_input_creates_no_output(tmp_path, capsys, argv, message):
     assert not out.exists()
     out.write_bytes(b"old table\n")
     assert run_error(capsys, [*argv, str(out)]).startswith(message)
+    assert out.read_bytes() == b"old table\n"
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"waist": -1.0}, "waist must be positive and finite, got -1.0"),
+    ({"half_width": -2.0}, "half_width must be positive, got -2.0"),
+], ids=["waist", "half-width"])
+def test_convergence_window_is_checked_before_the_output_is_created(tmp_path, kwargs, message):
+    # the command line checks both flags itself; a library caller of run_convergence
+    # gets the same rule: no file, and a file that was there keeps its bytes
+    out = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.run_convergence(HybridStateSpec(0, 1), [32], out=str(out), **kwargs)
+    assert not out.exists()
+    out.write_bytes(b"old table\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.run_convergence(HybridStateSpec(0, 1), [32], out=str(out), **kwargs)
     assert out.read_bytes() == b"old table\n"
 
 

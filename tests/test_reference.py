@@ -16,7 +16,8 @@ lists every column that moved, with its file, its largest absolute and
 relative move, and whether it is beyond its tolerance.
 
 ``python tests/reference/make.py`` rewrites the reference files from the same
-``CASES``; nothing switches this test into writing them.
+``CASES`` and prints every column that moved, within its tolerance or not;
+nothing switches this test into writing them.
 """
 
 from __future__ import annotations
@@ -195,12 +196,14 @@ def _fields(lines):
         yield "".join(_NUMBER.sub("#", line).split()), numbers
 
 
-def compare(reference: dict[str, str], produced: dict[str, str]) -> str:
-    """Every difference of ``produced`` from ``reference`` as a report, empty when
-    none is beyond its tolerance.  Both map file names to their text."""
+def movement(reference: dict[str, str], produced: dict[str, str]) -> tuple[list[str], dict]:
+    """How ``produced`` differs from ``reference``, both mapping file names to
+    their text: the differences no tolerance covers (files missing or extra,
+    line counts, text and column names), and per (file, column) whose numbers
+    moved, [largest absolute move, largest relative move, beyond tolerance]."""
     problems = [f"missing file {name}" for name in sorted(reference.keys() - produced.keys())]
     problems += [f"extra file {name}" for name in sorted(produced.keys() - reference.keys())]
-    moves = {}  # (file, column) -> [largest absolute move, largest relative move, beyond]
+    moves = {}
     for name in sorted(reference.keys() & produced.keys()):
         want, got = reference[name].splitlines(), produced[name].splitlines()
         if len(want) != len(got):
@@ -220,14 +223,27 @@ def compare(reference: dict[str, str], produced: dict[str, str]) -> str:
                 entry = moves.setdefault((name, column), [0.0, 0.0, False])
                 entry[0], entry[1] = max(entry[0], move), max(entry[1], relative)
                 entry[2] |= move > atol + rtol * abs(b)
-    if not problems and not any(beyond for _, _, beyond in moves.values()):
-        return ""
+    return problems, moves
+
+
+def report(problems: list[str], moves: dict) -> str:
+    """The lines of :func:`movement`'s result: each problem, then every column
+    that moved with its largest moves and its tolerance."""
     lines = [*problems, "columns that moved (file, column: largest absolute and relative move):"]
     for (name, column), (move, relative, beyond) in moves.items():
         atol, rtol = TOLERANCES.get(column, (0.0, 0.0))
         lines.append(f"  {name} {column}: {move:.3g} abs, {relative:.3g} rel"
                      f" (atol {atol:g}, rtol {rtol:g}){'  BEYOND TOLERANCE' if beyond else ''}")
     return "\n".join(lines)
+
+
+def compare(reference: dict[str, str], produced: dict[str, str]) -> str:
+    """Every difference of ``produced`` from ``reference`` as a report, empty when
+    none is beyond its tolerance.  Both map file names to their text."""
+    problems, moves = movement(reference, produced)
+    if not problems and not any(beyond for _, _, beyond in moves.values()):
+        return ""
+    return report(problems, moves)
 
 
 def test_reference_outputs(tmp_path):
