@@ -41,10 +41,10 @@ from .tomography import (
 )
 from .topology import (
     _convergence_grids,
+    _convergence_rows,
     _sweep_results,
     _window_grid,
     channel_skyrmion_numbers,
-    convergence_scan,
     pullback_skyrmion_number,
     skyrmion_number,
     suggested_grid,
@@ -483,10 +483,10 @@ def run_convergence(
     weight, the waist, the resolutions and their windows are checked)."""
     if out is not None:
         _check_texture_inputs(spec, p)
-        resolutions = list(resolutions)
-        _convergence_grids(spec, resolutions, half_width, waist)
+    grids = _convergence_grids(spec, resolutions, half_width, waist)
+    if out is not None:
         _create_output(out)
-    rows = convergence_scan(spec, p, resolutions, half_width=half_width, waist=waist)
+    rows = _convergence_rows(spec, p, grids, waist)
     if out is not None:
         _write_csv(out, [
             f"# state = ({spec.ell1}, {spec.ell2}, delta={_fmt(spec.delta)})",

@@ -196,23 +196,25 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     topology.  Poor convergence shows up in ``residual``; nothing raises.
     """
     density = None if field.collapsed else skyrmion_density(field)
-    return _result(density, field.mask, field, field.mask)
+    return _result(density, field.mask, field.mask, field.grid.spacing, field)
 
 
-def _result(density, degenerate, field: UnitVectorField, mask) -> SkyrmionResult:
+def _result(density, degenerate, mask, h: float,
+            field: UnitVectorField | None = None) -> SkyrmionResult:
     """The result of a ``density`` that is zero on the stencil footprint of
     ``mask``, under the degenerate set ``degenerate`` that holds ``mask``:
     exactly 0 if the set covers every point, else the trapezoidal integral
     over 4*pi of the density, zeroed (in a new array) on the footprint of a
     set grown beyond ``mask``.  The integral is ``w @ density @ w``, with
-    ``w`` the trapezoid weights of an axis: h, halved at either end."""
+    ``w`` the trapezoid weights of an axis: spacing ``h``, halved at either
+    end.  ``field`` is the texture the result carries."""
     count = np.count_nonzero(degenerate)
     if count == degenerate.size:
         number, density = 0.0, np.zeros(degenerate.shape)
     else:
         if count > np.count_nonzero(mask):
             density = np.where(_stencil_footprint(degenerate), 0.0, density)
-        w = np.full(degenerate.shape[0], field.grid.spacing)
+        w = np.full(degenerate.shape[0], h)
         w[[0, -1]] *= 0.5
         number = float(w @ density @ w / (4.0 * math.pi))
     rounded = int(round(number))
@@ -273,7 +275,7 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         block = lo >= 0 and _mirror_symmetric(rho, coeffs, field.mask)
         density = _density(planes[:, lo:, lo:] if block else planes, field.mask,
                            field.grid.spacing, block)
-    result = _result(density, field.mask, field, field.mask)
+    result = _result(density, field.mask, field.mask, field.grid.spacing, field)
     result.density.flags.writeable = False
     # p |S| >= p low at every unmasked point, rounding being monotone: p's set grows
     # beyond p = 1's exactly when p low < DEGENERACY_EPS (never, with no such point)
@@ -287,8 +289,8 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
             degenerate = (p * norm < DEGENERACY_EPS) | field.mask
             vectors = (np.broadcast_to(0.0, field.vectors.shape)  # read-only, no memory
                        if degenerate.all() else np.where(degenerate[..., None], 0.0, field.vectors))
-            yield _result(result.density, degenerate,
-                          UnitVectorField(vectors, degenerate, field.grid), field.mask)
+            yield _result(result.density, degenerate, field.mask, field.grid.spacing,
+                          UnitVectorField(vectors, degenerate, field.grid))
 
     return outputs()
 
@@ -309,8 +311,8 @@ def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
     unmasked |S| of the block is at least 2 DEGENERACY_EPS (the |S| of the
     other quadrants are those of their mirror images up to rounding), and
     every point at p = 0.  Any other weight, K or grid falls back to
-    ``channel_skyrmion_numbers``.  A result of the block carries as
-    ``field`` the texture of the block alone, with the whole grid.
+    ``channel_skyrmion_numbers``.  A result of the block carries no
+    texture: its ``field`` is None.
     """
     k = _stokes_map(rho)
     if _mirror_map(k) and not (grid.samples_per_axis % 2 and spec.delta_ell):
@@ -321,14 +323,10 @@ def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
         norm = _vector_norm(s1, s2, s3)
         low = float(norm.min(initial=math.inf, where=~block_mask))
         if all(p * low >= 2.0 * DEGENERACY_EPS for p in weights if p > 0):
-            planes, degenerate = _unit_planes((s1, s2, s3), norm, block_mask)
-            field = UnitVectorField(np.moveaxis(planes, 0, -1), degenerate, grid)
-            everywhere = np.ones(mask.shape, dtype=bool)
-            zeros = UnitVectorField(np.broadcast_to(0.0, field.vectors.shape),
-                                    everywhere[-size:, -size:], grid)
+            planes, _ = _unit_planes((s1, s2, s3), norm, block_mask)
             texture = _result(_density(planes, mask, grid.spacing, block=True),
-                              mask, field, mask)
-            collapsed = _result(None, everywhere, zeros, mask)
+                              mask, mask, grid.spacing)
+            collapsed = _result(None, np.ones(mask.shape, dtype=bool), mask, grid.spacing)
             texture.density.flags.writeable = collapsed.density.flags.writeable = False
             return iter([texture if p else collapsed for p in weights])
     return channel_skyrmion_numbers(rho, coeff_field(spec, grid, waist=waist), weights)
@@ -393,7 +391,7 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     norm[degenerate] = norm2[degenerate] = 1.0
     density /= norm2 * norm
     density *= bloch.density
-    return _result(density, degenerate, field, field.mask)
+    return _result(density, degenerate, field.mask, field.grid.spacing, field)
 
 
 def skyrmion_number_analytic(spec: HybridStateSpec) -> int:
@@ -497,8 +495,15 @@ def convergence_scan(
     half_width : float, optional
         Window half-width; defaults to the suggested tail-safe window.
     """
+    return _convergence_rows(spec, p, _convergence_grids(spec, resolutions, half_width, waist),
+                             waist)
+
+
+def _convergence_rows(spec: HybridStateSpec, p: float, grids: list[GridSpec],
+                      waist: float) -> list[ConvergenceRow]:
+    """The :func:`convergence_scan` row of each of the checked ``grids``."""
     rows = []
-    for grid in _convergence_grids(spec, resolutions, half_width, waist):
+    for grid in grids:
         res = skyrmion_number(texture_for_state(spec, p, grid, waist=waist))
         rows.append(ConvergenceRow(resolution=grid.samples_per_axis, number=res.number,
                                    residual=res.residual))

@@ -80,7 +80,7 @@ def test_unwritable_output_file_fails_before_any_output(tmp_path, capsys, argv, 
 
 def test_converge_unwritable_output_fails_before_the_scan(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "convergence_scan", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_convergence_rows", lambda *a, **k: calls.append(a))
     argv = ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "16,32",
             "--out", str(tmp_path / "missing" / "c.csv")]
     assert "No such file or directory" in run_error(capsys, argv)
@@ -131,7 +131,7 @@ def test_failure_after_the_output_is_opened_leaves_it_empty(tmp_path, capsys, mo
     def fail(*args, **kwargs):
         raise ValueError("scan failed")
 
-    monkeypatch.setattr(cli, "convergence_scan", fail)
+    monkeypatch.setattr(cli, "_convergence_rows", fail)
     out = tmp_path / "c.csv"
     out.write_text("old table\n")
     argv = ["converge", "--ell1", "0", "--ell2", "1", "--resolutions", "16", "--out", str(out)]

@@ -17,6 +17,7 @@ from qskyrmion import (
     stokes_field,
 )
 from qskyrmion.stokesfield import SIGMA, StokesField, _mirror_symmetric
+from qskyrmion.topology import STENCIL_ORDER, _density, _result
 
 
 def channel(spec, p):
@@ -309,14 +310,19 @@ class TestArbitraryDensityMatrix:
         # the channel result applies the degenerate set p |S| < DEGENERACY_EPS,
         # which can grow as p falls; while it does not, it is the p = 1 result
         unmixed, channel_output = channel_skyrmion_numbers(rho, cf, [1.0, p])
-        # the p = 1 result takes the whole grid's stencil, as skyrmion_number
-        # does, unless the texture is mirror-symmetric: then its density is
-        # built from one quadrant, held to the whole grid's stencil within
-        # test_quadrant_density's 1e-13 (a real Ginibre factor can pass)
-        if _mirror_symmetric(rho, cf, unmixed.field.mask):
-            assert unmixed.number == pytest.approx(skyrmion_number(base).number, abs=1e-13)
-        else:
-            assert unmixed.number == skyrmion_number(base).number
+        # the p = 1 result is exactly skyrmion_number's integral of its texture's
+        # density, which is built from one quadrant when the texture is
+        # mirror-symmetric (a real Ginibre factor can be) and else on the
+        # whole grid; the quadrant is held to the whole grid's stencil within
+        # test_quadrant_density's 1e-13
+        reference = skyrmion_number(base)
+        if _mirror_symmetric(rho, cf, base.mask):
+            lo = cf.grid.samples_per_axis // 2 - STENCIL_ORDER // 2
+            planes = np.moveaxis(base.vectors, -1, 0)[:, lo:, lo:]
+            density = _density(planes, base.mask, cf.grid.spacing, block=True)
+            assert unmixed.number == pytest.approx(reference.number, abs=1e-13)
+            reference = _result(density, base.mask, base.mask, cf.grid.spacing)
+        assert unmixed.number == reference.number
         if channel_output.masked_fraction == unmixed.masked_fraction:
             assert channel_output is unmixed
         assert skyrmion_number(mixed).number == pytest.approx(
