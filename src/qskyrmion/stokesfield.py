@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import DensityMatrix4, _as_matrix
-from .lgmodes import CoeffField, GridSpec, _reflection_signs
+from .lgmodes import CoeffField, GridSpec
 
 DEGENERACY_EPS = 1e-6
 
@@ -112,30 +112,6 @@ def _mirror_map(k: np.ndarray) -> bool:
     (q00, q01), (q10, q11) = k[2:4, 1:3]
     return (not (k[0:2, 1:3].any() or k[2:4, 3].any())
             and (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10))
-
-
-def _mirror_symmetric(rho, coeffs: CoeffField, mask: np.ndarray) -> bool:
-    """Whether reflecting x or y maps the texture of ``rho`` over ``coeffs``
-    to R S, with one orthogonal R of determinant -1, and maps the
-    degenerate set ``mask`` to itself; the Skyrmion density is then even
-    in x and in y.
-
-    Read by exact comparisons: of K (:func:`_mirror_map`), of every plane
-    of ``coeffs.coords`` with its reflections in x and in y times the signs
-    :func:`~qskyrmion.lgmodes.coeff_field` writes them with
-    (``lgmodes._reflection_signs``: planar reflections of (n_x, n_y)), and
-    of ``mask`` with its reflections.  On an odd grid this asks the centre
-    row of a sign -1 plane to be exactly 0, which the rounding of
-    cos(dl pi/2) or sin(dl pi/2) in ``coeff_field`` breaks unless dl = 0.
-    """
-    if not (_mirror_map(_stokes_map(rho))
-            and (mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all()):
-        return False
-    planes = coeffs.coords.T.reshape(4, *mask.shape)
-    m = (mask.shape[0] + 1) // 2  # the rows (columns) up to the centre meet every mirror pair
-    return all((plane[:m] == sign_x * plane[::-1][:m]).all()
-               and (plane[:, :m] == sign_y * plane[:, ::-1][:, :m]).all()
-               for plane, sign_x, sign_y in zip(planes, *_reflection_signs(coeffs.state)))
 
 
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:

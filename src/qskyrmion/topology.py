@@ -37,7 +37,6 @@ from .stokesfield import (
     _F,
     _T,
     _mirror_map,
-    _mirror_symmetric,
     _stokes_map,
     _unit_planes,
     _vector_norm,
@@ -69,19 +68,16 @@ class SkyrmionResult:
     gauge and is reported, never silently absorbed.  ``field`` is the
     texture the density belongs to: the state's own unit texture, or for
     :func:`pullback_skyrmion_number` the OAM Bloch texture whose density
-    was pulled back.
+    was pulled back.  Only the private sweep route (``_sweep_results``),
+    which forms no whole-grid texture, leaves it None.
     """
 
     number: float
     density: np.ndarray
     rounded: int
     residual: float
-    field: UnitVectorField
+    field: UnitVectorField | None
     masked_fraction: float
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.field.grid
 
 
 @dataclass
@@ -144,12 +140,12 @@ def _density(planes: np.ndarray, mask: np.ndarray, h: float, block: bool = False
     ``block``, from their block ``[:, lo:, lo:]``, lo = n//2 - STENCIL_ORDER//2.
 
     A block is for a texture whose density is even in x and in y and whose
-    mask is symmetric in both (``stokesfield._mirror_symmetric``): the
-    stencil runs on the quadrant x, y >= 0 (the centre row and column
-    included when n is odd) and the STENCIL_ORDER // 2 rows and columns
-    before it, and the quadrant is reflected into the other three.  Its
-    values differ from the whole grid's stencil by that stencil's own
-    rounding asymmetry (measured at up to 2e-14).
+    mask is symmetric in both, as :func:`_sweep_results` (the one caller
+    that passes ``block``) forms them: the stencil runs on the quadrant
+    x, y >= 0 (the centre row and column included when n is odd) and the
+    STENCIL_ORDER // 2 rows and columns before it, and the quadrant is
+    reflected into the other three.  Its values differ from the whole grid's stencil by that
+    stencil's own rounding asymmetry.
     """
     if block:
         density = np.empty(mask.shape)
@@ -231,15 +227,12 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     (S1, S2, S3) of p rho + (1 - p) I/4 is exactly p times that of ``rho``.
     The unit texture is therefore the same at every p > 0; only the
     degenerate set p |S| < DEGENERACY_EPS grows as p falls.  The texture and
-    its density are built once, on the call.  The density comes from one
-    quadrant when ``rho``, ``coeffs`` and the degenerate set pass
-    ``stokesfield._mirror_symmetric``, as every channel output of
-    ``pure_state`` does on an even ``coeff_field`` grid, and then differs
-    from :func:`skyrmion_density` of the same texture by at most ~2e-14.
-    The numbers match the per-point chain ``skyrmion_number(
+    its result are built once, on the call: the p = 1 result is
+    ``skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))`` bit for
+    bit.  The numbers match the per-point chain ``skyrmion_number(
     normalize_stokes(stokes_field(apply_isotropic_noise(rho, p), coeffs)))``
-    up to the rounding of that chain's mixed state and of the quadrant,
-    including the exact N = 0 of a fully masked texture at p = 0.
+    up to the rounding of that chain's mixed state, including the exact
+    N = 0 of a fully masked texture at p = 0.
 
     Parameters
     ----------
@@ -259,8 +252,7 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         texture and a read-only density.  Any other weight gets the p = 1
         texture with its set zeroed (a read-only zero view once every point
         is masked) and the p = 1 density zeroed on the set's stencil
-        footprint, which is what the stencil gives on that texture (up to
-        the quadrant's rounding, <= 2e-14, when the density comes from one).
+        footprint, which is what the stencil gives on that texture.
     """
     weights = [float(p) for p in weights]
     for p in weights:
@@ -268,14 +260,7 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     raw = stokes_field(rho, coeffs)
     field = normalize_stokes(raw, norm := raw.vector_norm())
     del raw  # the Stokes planes are not held through the density's temporaries
-    density = None
-    if not field.collapsed:
-        planes = np.moveaxis(field.vectors, -1, 0)
-        lo = len(field.mask) // 2 - STENCIL_ORDER // 2
-        block = lo >= 0 and _mirror_symmetric(rho, coeffs, field.mask)
-        density = _density(planes[:, lo:, lo:] if block else planes, field.mask,
-                           field.grid.spacing, block)
-    result = _result(density, field.mask, field.mask, field.grid.spacing, field)
+    result = skyrmion_number(field)
     result.density.flags.writeable = False
     # p |S| >= p low at every unmasked point, rounding being monotone: p's set grows
     # beyond p = 1's exactly when p low < DEGENERACY_EPS (never, with no such point)
@@ -302,8 +287,9 @@ def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
     masked fractions; ``weights`` are already checked.
 
     When K of ``rho`` passes ``stokesfield._mirror_map`` and the grid is
-    even or dl = 0, the texture is mirror-symmetric (``_mirror_symmetric``),
-    and its Stokes planes, norm, unit texture and density are formed from
+    even or dl = 0, reflecting x or y maps the texture S to R S, with one
+    orthogonal R of determinant -1, so its density is even in x and in y.
+    Its Stokes planes, norm, unit texture and density are then formed from
     the block ``[lo:, lo:]`` of the coordinates alone
     (``lgmodes._coords_block`` with a STENCIL_ORDER // 2 halo); only the
     density and the mask cover the grid.  The degenerate set is then the
@@ -311,8 +297,10 @@ def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
     unmasked |S| of the block is at least 2 DEGENERACY_EPS (the |S| of the
     other quadrants are those of their mirror images up to rounding), and
     every point at p = 0.  Any other weight, K or grid falls back to
-    ``channel_skyrmion_numbers``.  A result of the block carries no
-    texture: its ``field`` is None.
+    ``channel_skyrmion_numbers``: on an odd grid with dl != 0, the centre
+    row of a plane that x -> -x negates is the rounded cos(dl pi/2) or
+    sin(dl pi/2), ~1e-16, not the exact 0 of a mirror.  A result of the
+    block carries no texture: its ``field`` is None.
     """
     k = _stokes_map(rho)
     if _mirror_map(k) and not (grid.samples_per_axis % 2 and spec.delta_ell):

@@ -41,7 +41,7 @@ def test_unmasked_weights_share_the_p1_texture(ell1, ell2, delta):
     assert all(result.field is field for result in results)
     assert bits(field.vectors) == bits(ref.vectors)
     assert bits(field.mask) == bits(ref.mask)
-    assert field.grid == coeffs.grid and results[0].grid is field.grid
+    assert field.grid == coeffs.grid and results[0].field.grid is field.grid
     assert not field.collapsed
 
 
@@ -75,7 +75,7 @@ def test_grown_weight_field_zeroes_its_degenerate_set(source, p):
     assert (field.vectors[mask] == 0.0).all()
     assert bits(field.vectors[~mask]) == bits(clean.vectors[~mask])
     assert field.collapsed == mask.all()
-    assert result.grid == coeffs.grid
+    assert result.field.grid == coeffs.grid
     assert result.masked_fraction == float(mask.mean())
 
 
@@ -95,7 +95,7 @@ def test_skyrmion_number_carries_its_field():
     grid = GridSpec(3.0, 16)
     fld = UnitVectorField(np.zeros((16, 16, 3)), np.ones((16, 16), dtype=bool), grid)
     result = skyrmion_number(fld)
-    assert result.field is fld and result.grid is grid
+    assert result.field is fld and result.field.grid is grid
     assert (result.number, result.residual, result.masked_fraction) == (0.0, 0.0, 1.0)
 
 

@@ -107,7 +107,7 @@ def test_results_are_yielded_in_order_sharing_the_p1_density():
         assert_same_number(result.number, result.residual, result.masked_fraction, ref)
         assert abs(result.density - ref.density).max() <= 1e-12 * abs(ref.density).max(
             initial=1.0)
-        assert result.grid == coeffs.grid
+        assert result.field.grid == coeffs.grid
     # weights that mask nothing beyond p = 1 share its read-only density
     assert results[0].density is results[1].density is results[3].density
     with pytest.raises(ValueError):
@@ -136,8 +136,7 @@ def test_growing_mask_zeroes_its_own_stencil_footprint():
     # ~4e-6, so the degenerate set grows at every weight below 1.  The stencil
     # on a grown texture gives the p = 1 density zeroed on the grown set's
     # footprint, and the channel zeroes that footprint of its own p = 1
-    # density, which it builds from one quadrant of this mirror-symmetric
-    # texture (test_quadrant_density holds it to the whole-grid stencil)
+    # density, the whole-grid one of skyrmion_number
     coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 64))
     rho = np.diag([0.25 + 2e-6, 0.25 - 2e-6, 0.25 - 2e-6, 0.25 + 2e-6]).astype(complex)
     rho[0, 3] = rho[3, 0] = 1e-7

@@ -47,7 +47,7 @@ class CountingCalls:
 
 
 def test_gallery_builds_one_texture_per_state(tmp_path, monkeypatch):
-    # topology._density builds every density, whole-grid or from a quadrant
+    # topology._density builds every density, through skyrmion_density
     names = ("coeff_field", "stokes_field", "normalize_stokes", "_density")
     counter = CountingCalls(monkeypatch, *names)
     run_topology_gallery(SPECS, 0.5, samples=32, out_dir=tmp_path)

@@ -1,11 +1,13 @@
-"""The quadrant Skyrmion density of mirror-symmetric channel textures.
+"""The quadrant Skyrmion density of mirror-symmetric textures, and the
+whole-grid density of every channel texture.
 
-``channel_skyrmion_numbers`` builds its density from one quadrant plus its
-stencil halo when the Stokes map K of the state, the coordinates of the
-grid and the degenerate mask pass ``_mirror_symmetric`` exactly.  These
-tests hold that density to the whole grid's stencil (``skyrmion_number``)
-on the same texture, and check that inputs which fail the gate keep the
-whole-grid stencil bit for bit.
+An analytic sweep (``topology._sweep_results``) builds its density from one
+quadrant plus its stencil halo (``lgmodes._coords_block`` and
+``topology._density(..., block=True)``) when the Stokes map K of the state
+passes ``_mirror_map`` and the grid is even or dl = 0.  These tests hold
+that density to the whole grid's stencil (``skyrmion_density``) on the same
+texture, and ``channel_skyrmion_numbers``, which always takes the whole-grid
+stencil, to ``skyrmion_number`` of the same chain bit for bit.
 """
 
 import dataclasses
@@ -25,30 +27,47 @@ from qskyrmion import (
     coeff_field,
     normalize_stokes,
     pure_state,
+    skyrmion_density,
     skyrmion_number,
     stokes_field,
     suggested_grid,
 )
-from qskyrmion.stokesfield import DEGENERACY_EPS, SIGMA, _mirror_symmetric
+from qskyrmion.lgmodes import _coords_block
+from qskyrmion.stokesfield import (
+    DEGENERACY_EPS,
+    SIGMA,
+    _mirror_map,
+    _stokes_map,
+    _unit_planes,
+    _vector_norm,
+)
+from qskyrmion.topology import STENCIL_ORDER, _density
 
 TOLERANCE = 1e-13
+HALO = STENCIL_ORDER // 2
 
 
-def assert_matches_full_stencil(rho, coeffs):
-    (result,) = channel_skyrmion_numbers(rho, coeffs, [1.0])
-    assert _mirror_symmetric(rho, coeffs, result.field.mask)
-    assert (result.density == result.density[::-1]).all()
-    assert (result.density == result.density[:, ::-1]).all()
-    ref = skyrmion_number(result.field)
-    assert np.abs(result.density - ref.density).max() <= TOLERANCE
-    assert abs(result.number - ref.number) <= TOLERANCE
+def assert_matches_full_stencil(spec, grid):
+    # the sweep's block route: the coordinates, Stokes planes and unit texture
+    # of the quadrant and its halo, and the density reflected from that block
+    rho = pure_state(spec)
+    k = _stokes_map(rho)
+    assert _mirror_map(k)
+    coords, mask = _coords_block(spec, grid, 1.0, HALO)
+    size = coords.shape[1]
+    s = (k.T @ coords.reshape(4, -1)).reshape(coords.shape)[1:]
+    planes, _ = _unit_planes(s, _vector_norm(*s), mask[-size:, -size:])
+    density = _density(planes, mask, grid.spacing, block=True)
+    assert (density == density[::-1]).all()
+    assert (density == density[:, ::-1]).all()
+    whole = skyrmion_density(normalize_stokes(stokes_field(rho, coeff_field(spec, grid))))
+    assert np.abs(density - whole).max() <= TOLERANCE
 
 
 def assert_takes_full_stencil(rho, coeffs):
     (result,) = channel_skyrmion_numbers(rho, coeffs, [1.0])
-    assert not _mirror_symmetric(rho, coeffs, result.field.mask)
     ref = skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
-    assert (result.density == ref.density).all()
+    assert result.density.tobytes() == ref.density.tobytes()
     assert result.number == ref.number
 
 
@@ -61,60 +80,39 @@ def assert_takes_full_stencil(rho, coeffs):
 )
 @settings(max_examples=60, deadline=None)
 def test_channel_outputs_pass_the_gate_and_match_the_full_stencil(ell1, ell2, delta, p, n):
+    # the gate is the sweep's: K of every channel output passes _mirror_map
     spec = HybridStateSpec(ell1, ell2, delta)
-    coeffs = coeff_field(spec, suggested_grid(spec, n))
-    pure = pure_state(spec)
-    assert _mirror_symmetric(pure, coeffs, coeffs.mask)
-    assert _mirror_symmetric(apply_isotropic_noise(pure, p), coeffs, coeffs.mask)
-    assert_matches_full_stencil(pure, coeffs)
+    assert _mirror_map(_stokes_map(apply_isotropic_noise(pure_state(spec), p)))
+    assert_matches_full_stencil(spec, suggested_grid(spec, n))
 
 
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("charges", [(0, 1), (3, -4)])
 def test_masked_windows_match_the_full_stencil(charges, n):
     spec = HybridStateSpec(*charges)
-    coeffs = coeff_field(spec, GridSpec(30.0, n))
-    assert coeffs.mask.any()
-    assert_matches_full_stencil(pure_state(spec), coeffs)
+    assert coeff_field(spec, GridSpec(30.0, n)).mask.any()
+    assert_matches_full_stencil(spec, GridSpec(30.0, n))
 
 
 @pytest.mark.parametrize("n", [65, 97])
 @pytest.mark.parametrize("charges", [(0, 1), (3, -4), (0, 2)])
 def test_odd_grids_keep_the_full_stencil(charges, n):
-    # the centre row x = 0 is its own mirror image: there n_x (odd dl) or n_y
-    # (even dl) must be exactly 0, and coeff_field's cos(dl pi/2) or sin(dl pi/2)
-    # rounds to ~1e-16 instead
+    # an analytic sweep falls back to the channel here: the centre row x = 0 is
+    # its own mirror image, and coeff_field's cos(dl pi/2) or sin(dl pi/2) rounds
+    # to ~1e-16 there instead of the exact 0 a reflection needs
     spec = HybridStateSpec(*charges)
     assert_takes_full_stencil(pure_state(spec), coeff_field(spec, GridSpec(30.0, n)))
-
-
-def test_quadrant_with_no_room_before_it_covers_the_whole_grid():
-    # n = 9 puts the quadrant's halo at row and column 0; GridSpec's floor of 16
-    # samples is a rule of the grid, not of the density, so it is bypassed here.
-    # The centre row of n_x (dl = 1 flips its sign under x -> -x) is set to its exact 0
-    grid = object.__new__(GridSpec)
-    object.__setattr__(grid, "half_width", 3.0)
-    object.__setattr__(grid, "samples_per_axis", 9)
-    spec = HybridStateSpec(0, 1, 0.3)
-    coeffs = coeff_field(spec, grid)
-    planes = coeffs.coords.T.reshape(4, 9, 9).copy()
-    assert np.abs(planes[2, 4]).max() < 1e-15
-    planes[2, 4] = 0.0
-    exact = dataclasses.replace(coeffs, coords=planes.reshape(4, -1).T)
-    assert_matches_full_stencil(pure_state(spec), exact)
-    assert_takes_full_stencil(pure_state(spec), coeffs)
 
 
 def test_grown_masks_match_the_full_stencil():
     # weak polarization contrast and coherence put |S| between ~1e-7 and ~4e-6,
     # so the degenerate set grows at every weight below 1; the channel zeroes
-    # the footprint of each grown set in the one quadrant density of p = 1
+    # the footprint of each grown set in the one whole-grid density of p = 1
     coeffs = coeff_field(HybridStateSpec(0, 1), GridSpec(3.0, 64))
     rho = np.diag([0.25 + 2e-6, 0.25 - 2e-6, 0.25 - 2e-6, 0.25 + 2e-6]).astype(complex)
     rho[0, 3] = rho[3, 0] = 1e-7
     raw = stokes_field(rho, coeffs)
     norm, field = raw.vector_norm(), normalize_stokes(raw)
-    assert _mirror_symmetric(rho, coeffs, field.mask)
     weights = [0.9, 0.6, 0.4, 0.25]
     for p, result in zip(weights, channel_skyrmion_numbers(rho, coeffs, weights)):
         mask = (p * norm < DEGENERACY_EPS) | coeffs.mask
@@ -122,9 +120,8 @@ def test_grown_masks_match_the_full_stencil():
         vectors = np.where(mask[..., None], 0.0, field.vectors)
         ref = skyrmion_number(UnitVectorField(vectors, mask, coeffs.grid))
         assert result.masked_fraction == ref.masked_fraction
-        assert ((result.density == 0.0) == (ref.density == 0.0)).all()
-        assert np.abs(result.density - ref.density).max() <= TOLERANCE
-        assert abs(result.number - ref.number) <= TOLERANCE
+        assert result.density.tobytes() == ref.density.tobytes()
+        assert result.number == ref.number
 
 
 def test_ginibre_state_keeps_the_full_stencil():
@@ -132,6 +129,7 @@ def test_ginibre_state_keeps_the_full_stencil():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
+    assert not _mirror_map(_stokes_map(rho))
     spec = HybridStateSpec(0, 2)
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
@@ -143,20 +141,22 @@ def test_polarization_turn_that_feeds_n_x_into_s3_keeps_the_full_stencil():
     turn = np.kron(np.eye(2), u)
     spec = HybridStateSpec(0, 3, 0.5)
     rho = turn @ pure_state(spec).matrix @ turn.conj().T
+    assert not _mirror_map(_stokes_map(rho))
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 2)],
                          ids=["a-into-S1", "n_x-into-S3", "Q-not-conformal"])
 def test_one_more_coherence_keeps_the_full_stencil(entry):
-    # each breaks one condition of the gate: |ell1,P1><ell1,P2| feeds |a|^2
-    # into S1; |ell1,P1><ell2,P1| feeds n_x into S3; |ell1,P2><ell2,P1| leaves
-    # (S1, S2) fed by (n_x, n_y) alone, through neither a scaled rotation nor
-    # a scaled reflection
+    # each breaks one condition of the sweep's _mirror_map: |ell1,P1><ell1,P2|
+    # feeds |a|^2 into S1; |ell1,P1><ell2,P1| feeds n_x into S3; |ell1,P2><ell2,P1|
+    # leaves (S1, S2) fed by (n_x, n_y) alone, through neither a scaled rotation
+    # nor a scaled reflection
     spec = HybridStateSpec(0, 3, 0.5)
     rho = apply_isotropic_noise(pure_state(spec), 0.8).matrix
     rho[entry] += 0.02
     rho[entry[::-1]] += 0.02
+    assert not _mirror_map(_stokes_map(rho))
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
 
@@ -175,7 +175,7 @@ def test_one_asymmetric_masked_point_keeps_the_full_stencil():
 @pytest.mark.parametrize("point", [(5, 7), (5, 40), (40, 7)], ids=["x<0,y<0", "x<0", "y<0"])
 def test_coordinates_changed_off_the_quadrant_keep_the_full_stencil(plane, point):
     # a caller-built CoeffField whose mask is still symmetric, with one point
-    # changed in a quadrant that the stencil would not otherwise visit
+    # changed in a quadrant that a quadrant stencil would not visit
     spec = HybridStateSpec(0, 3, 0.5)
     coeffs = coeff_field(spec, suggested_grid(spec, 64))
     coords = coeffs.coords.copy()

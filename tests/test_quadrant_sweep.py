@@ -6,9 +6,10 @@ it forms the coordinates, Stokes planes and unit texture of the quadrant and
 its stencil halo alone (``lgmodes._coords_block``), and otherwise falls back
 to ``channel_skyrmion_numbers`` over ``coeff_field``.  These tests hold the
 block to ``coeff_field``'s planes bit for bit and the sweep's rows to those of
-``channel_skyrmion_numbers``: bit for bit where it falls back, and within
-1e-13 (the quadrant density's bound, ``test_quadrant_density.py``) where it
-takes the block.
+``channel_skyrmion_numbers``, which are ``skyrmion_number``'s of the whole
+texture: bit for bit where it falls back, and within 1e-13 where it takes the
+block (``test_quadrant_density.py`` holds the block's density to the whole
+grid's stencil within the same bound).
 """
 
 import numpy as np

@@ -16,8 +16,7 @@ from qskyrmion import (
     skyrmion_number,
     stokes_field,
 )
-from qskyrmion.stokesfield import SIGMA, StokesField, _mirror_symmetric
-from qskyrmion.topology import STENCIL_ORDER, _density, _result
+from qskyrmion.stokesfield import SIGMA, StokesField
 
 
 def channel(spec, p):
@@ -227,8 +226,8 @@ class TestNormalizeStokes:
 # rho = G G^dag / Tr(G G^dag) for a random complex 4x4 G: every physical state
 GINIBRE = arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
 CHARGES = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-# a real Ginibre factor whose texture is mirror-symmetric: the channel
-# density of its state is built from one quadrant
+# a real Ginibre factor whose texture is mirror-symmetric, as the textures an
+# analytic sweep builds from one quadrant are
 REAL_FACTOR = np.zeros((2, 4, 4))
 REAL_FACTOR[0, 0, 0], REAL_FACTOR[0, 3, 0] = 0.5, 1.0
 # U = Q of the QR factorization of a random complex 2x2 matrix
@@ -310,18 +309,10 @@ class TestArbitraryDensityMatrix:
         # the channel result applies the degenerate set p |S| < DEGENERACY_EPS,
         # which can grow as p falls; while it does not, it is the p = 1 result
         unmixed, channel_output = channel_skyrmion_numbers(rho, cf, [1.0, p])
-        # the p = 1 result is exactly skyrmion_number's integral of its texture's
-        # density, which is built from one quadrant when the texture is
-        # mirror-symmetric (a real Ginibre factor can be) and else on the
-        # whole grid; the quadrant is held to the whole grid's stencil within
-        # test_quadrant_density's 1e-13
+        # the p = 1 result is skyrmion_number of its texture, bit for bit, on
+        # every texture (a real Ginibre factor can be mirror-symmetric)
         reference = skyrmion_number(base)
-        if _mirror_symmetric(rho, cf, base.mask):
-            lo = cf.grid.samples_per_axis // 2 - STENCIL_ORDER // 2
-            planes = np.moveaxis(base.vectors, -1, 0)[:, lo:, lo:]
-            density = _density(planes, base.mask, cf.grid.spacing, block=True)
-            assert unmixed.number == pytest.approx(reference.number, abs=1e-13)
-            reference = _result(density, base.mask, base.mask, cf.grid.spacing)
+        assert unmixed.density.tobytes() == reference.density.tobytes()
         assert unmixed.number == reference.number
         if channel_output.masked_fraction == unmixed.masked_fraction:
             assert channel_output is unmixed
