@@ -53,12 +53,6 @@ _CENTRAL_WEIGHTS = {
 }
 STENCIL_ORDER = 8
 
-# pullback_skyrmion_number returns the finite-difference chain's result where
-# kappa = min |S| / ||M||_2 over the live points is below this: over ~3000
-# random Ginibre states on a 48^2 grid whose chain number is resolved, every
-# rounded pullback that differed from the chain's had kappa <= 0.16
-PULLBACK_KAPPA_MIN = 0.2
-
 # default window sizing: shrink tails below this share of |N| where the
 # window permits, within the clamp below
 _TAIL_BUDGET = 5e-5
@@ -73,8 +67,8 @@ class SkyrmionResult:
     ``rounded`` is advisory; ``residual`` = |number - rounded| is the error
     gauge and is reported, never silently absorbed.  ``field`` is the
     texture the density belongs to: the state's own unit texture, or for
-    :func:`pullback_skyrmion_number` (unless it took the chain) the OAM
-    Bloch texture whose density was pulled back.  Only the private sweep route (``_sweep_results``),
+    :func:`pullback_skyrmion_number` the OAM Bloch texture whose density
+    was pulled back.  Only the private sweep route (``_sweep_results``),
     which forms no whole-grid texture, leaves it None.
     """
 
@@ -150,8 +144,8 @@ def _density(planes: np.ndarray, mask: np.ndarray, h: float, block: bool = False
     that passes ``block``) forms them: the stencil runs on the quadrant
     x, y >= 0 (the centre row and column included when n is odd) and the
     STENCIL_ORDER // 2 rows and columns before it, and the quadrant is
-    reflected into the other three.  Its values differ from the whole grid's stencil by that
-    stencil's own rounding asymmetry.
+    reflected into the other three.  Its values differ from the whole
+    grid's stencil by that stencil's own rounding asymmetry.
     """
     if block:
         density = np.empty(mask.shape)
@@ -347,12 +341,9 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     from that chain's by the error of the finite differences.  Near a
     topology flip, where the texture passes close to the origin of the
     Stokes ball (|S| small next to M), J peaks between grid points and
-    neither number is resolved; the pullback can then read far beyond
+    neither number is resolved; this one can then read far beyond
     |ell2 - ell1|, while the chain's density stays bounded by its unit
-    vectors.  So where kappa = min |S| / ||M||_2 over the points outside the
-    degenerate set is below ``PULLBACK_KAPPA_MIN``, the result is that
-    chain's, its own texture as ``field``.  kappa is scale-free: the
-    channel outputs of one state share it.
+    vectors.
 
     Parameters
     ----------
@@ -366,8 +357,7 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     -------
     SkyrmionResult
         The number, density, residual and masked fraction of ``rho``, with
-        the Bloch texture of ``bloch`` as ``field`` unless kappa fell below
-        ``PULLBACK_KAPPA_MIN``.
+        the Bloch texture of ``bloch`` as ``field``.
     """
     field = bloch.field
     if field.grid != coeffs.grid:
@@ -386,9 +376,6 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     del rows  # the (6, n^2) block is not held through the density's temporaries
     norm = np.sqrt(norm2)
     degenerate = (norm < DEGENERACY_EPS) | field.mask
-    if np.where(degenerate, np.inf, norm).min() < PULLBACK_KAPPA_MIN * np.linalg.norm(m, 2):
-        del density, norm, norm2, degenerate  # not held under the chain's own arrays
-        return skyrmion_number(normalize_stokes(stokes_field(rho, coeffs)))
     norm[degenerate] = norm2[degenerate] = 1.0
     density /= norm2 * norm
     density *= bloch.density
