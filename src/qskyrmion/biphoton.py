@@ -181,12 +181,12 @@ def contrast_from_p(p: float) -> float:
 def contrast_to_p(qc: float) -> float:
     """Signal weight p from quantum contrast: (Qc - 1)/(Qc - 1 + d).
 
-    Qc = 1 (pure accidentals) maps to p = 0; Qc -> inf maps to p -> 1.
+    Qc = 1 (pure accidentals) maps to p = 0, Qc = inf to p = 1; NaN raises.
     """
-    if not math.isfinite(qc):
-        return 1.0
-    if qc < 1.0:
+    if not qc >= 1.0:  # NaN included
         raise ValueError(f"quantum contrast must be >= 1, got {qc}")
+    if qc == math.inf:
+        return 1.0
     return (qc - 1.0) / (qc - 1.0 + _D)
 
 
@@ -196,10 +196,10 @@ def contrast_to_purity(qc: float) -> float:
     Evaluates gamma = [d(Qc^2 - 2Qc + 2) + 2(Qc - 1)] / [d (d + Qc - 1)^2],
     the composition of :func:`contrast_to_p` with the channel purity.
     """
-    if not math.isfinite(qc):
-        return 1.0
-    if qc < 1.0:
+    if not qc >= 1.0:  # NaN included
         raise ValueError(f"quantum contrast must be >= 1, got {qc}")
+    if qc == math.inf:
+        return 1.0
     num = _D * (qc * qc - 2.0 * qc + 2.0) + 2.0 * (qc - 1.0)
     den = _D * (_D + qc - 1.0) ** 2
     return num / den

@@ -336,17 +336,16 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
        index) with one :func:`mle_reconstruct` call and takes the contrast
        from the record.  One stacked call gives every state's witnesses.
     2. Per point: the Skyrmion number, and the row.  Channel outputs share
-       one texture (:func:`channel_skyrmion_numbers`), which on an even grid
-       is formed only on one quadrant and its stencil halo
+       one texture, whose coordinates, Stokes planes and density are formed
+       on one quadrant and its stencil halo alone
        (``topology._sweep_results``); a reconstructed state's texture is an
        affine image of the grid's OAM Bloch texture, whose density is built
        once and pulled back (:func:`pullback_skyrmion_number`).
     """
     grid = cfg.grid()
-    pure = pure_state(cfg.state)
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
     contrasts = [contrast_from_p(p) for p in weights]  # every weight is checked here
-    mats = _isotropic_mix(pure.matrix, np.array(weights)[:, None, None])
+    mats = _isotropic_mix(pure_state(cfg.state).matrix, np.array(weights)[:, None, None])
     if cfg.pipeline == "tomographic":
         coeffs = coeff_field(cfg.state, grid, waist=cfg.waist)
         estimates = []
@@ -360,7 +359,7 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
         results = (pullback_skyrmion_number(rho, coeffs, bloch) for rho in mats)
     else:
         converged = [True] * len(weights)
-        results = _sweep_results(pure, cfg.state, grid, weights, waist=cfg.waist)
+        results = _sweep_results(cfg.state, grid, weights, waist=cfg.waist)
     witnesses = zip(*_witnesses(mats, cfg.state))
     return [
         SweepRow(p, qc, *map(float, values), result.number, result.residual,

@@ -101,19 +101,6 @@ def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
     return k.T @ _F, k.T @ _D
 
 
-def _mirror_map(k: np.ndarray) -> bool:
-    """Whether the Stokes map ``k`` (:func:`_stokes_map`) turns the
-    reflections x -> -x and y -> -y of the grid into S -> R S, with one
-    orthogonal R of determinant -1, read by exact comparisons: |a|^2 and
-    |b|^2 feed S3 alone and (n_x, n_y) feed (S1, S2) alone, through
-    Q = K[2:4, 1:3], a scaled rotation or reflection.  S3 is then radial and
-    Q turns planar reflections of (n_x, n_y) into planar reflections of
-    (S1, S2)."""
-    (q00, q01), (q10, q11) = k[2:4, 1:3]
-    return (not (k[0:2, 1:3].any() or k[2:4, 3].any())
-            and (q00 == q11 and q01 == -q10 or q00 == -q11 and q01 == q10))
-
-
 def bloch_texture(coeffs: CoeffField) -> UnitVectorField:
     """The OAM Bloch vectors n = T h = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2).
 

@@ -205,12 +205,13 @@ def noise_rate_for_contrast(
     Inverts Qc = 1 + pair_rate / (4 T duration (pair_rate/2 + n)^2), valid
     for the maximally-mixed-marginal states this package produces.  The
     highest reachable contrast is :func:`_contrast_ceiling`; targets beyond
-    it clamp to n = 0 with a warning.
+    it clamp to n = 0 with a warning.  A target that is not finite, or a
+    pair rate, window or duration not positive and finite, raises ValueError.
     """
-    if target_qc <= 1.0:
-        raise ValueError("target contrast must exceed 1")
-    if pair_rate <= 0:
-        raise ValueError("pair rate must be positive")
+    if not 1.0 < target_qc < math.inf:
+        raise ValueError(f"target contrast must be finite and exceed 1, got {target_qc}")
+    if not all(math.isfinite(v) and v > 0 for v in (pair_rate, window, duration)):
+        raise ValueError("pair rate, window and duration must be positive and finite")
     qc_max = _contrast_ceiling(pair_rate, window, duration)
     if target_qc > qc_max:
         warnings.warn(

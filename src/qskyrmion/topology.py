@@ -36,7 +36,6 @@ from .stokesfield import (
     UnitVectorField,
     _F,
     _T,
-    _mirror_map,
     _stokes_map,
     _unit_planes,
     _vector_norm,
@@ -68,7 +67,7 @@ class SkyrmionResult:
     gauge and is reported, never silently absorbed.  ``field`` is the
     texture the density belongs to: the state's own unit texture, or for
     :func:`pullback_skyrmion_number` the OAM Bloch texture whose density
-    was pulled back.  Only the private sweep route (``_sweep_results``),
+    was pulled back.  Only the analytic sweep's route (``_sweep_results``),
     which forms no whole-grid texture, leaves it None.
     """
 
@@ -134,25 +133,10 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     return _density(np.moveaxis(field.vectors, -1, 0), field.mask, field.grid.spacing)
 
 
-def _density(planes: np.ndarray, mask: np.ndarray, h: float, block: bool = False) -> np.ndarray:
-    """The density over the grid of ``mask``, zeroed on its stencil footprint,
-    from a texture's (3, n, n) component planes at spacing ``h``, or, if
-    ``block``, from their block ``[:, lo:, lo:]``, lo = n//2 - STENCIL_ORDER//2.
-
-    A block is for a texture whose density is even in x and in y and whose
-    mask is symmetric in both, as :func:`_sweep_results` (the one caller
-    that passes ``block``) forms them: the stencil runs on the quadrant
-    x, y >= 0 (the centre row and column included when n is odd) and the
-    STENCIL_ORDER // 2 rows and columns before it, and the quadrant is
-    reflected into the other three.  Its values differ from the whole
-    grid's stencil by that stencil's own rounding asymmetry.
-    """
-    if block:
-        density = np.empty(mask.shape)
-        half = STENCIL_ORDER // 2
-        _unfold(_plane_density(planes, h)[half:, half:], density)
-    else:
-        density = _plane_density(planes, h)
+def _density(planes: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
+    """The density over the grid or block of ``mask``, zeroed on its stencil
+    footprint, from a texture's (3, m, m) component planes at spacing ``h``."""
+    density = _plane_density(planes, h)
     density[_stencil_footprint(mask)] = 0.0
     return density
 
@@ -280,44 +264,43 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     return outputs()
 
 
-def _sweep_results(rho, spec: HybridStateSpec, grid: GridSpec, weights, *,
+def _sweep_results(spec: HybridStateSpec, grid: GridSpec, weights, *,
                    waist: float) -> Iterator[SkyrmionResult]:
-    """``channel_skyrmion_numbers(rho, coeff_field(spec, grid, waist=waist),
-    weights)`` for a sweep, which reads only the numbers, residuals and
-    masked fractions; ``weights`` are already checked.
+    """The numbers, residuals and masked fractions of ``channel_skyrmion_numbers(
+    pure_state(spec), coeff_field(spec, grid, waist=waist), weights)``.
 
-    When K of ``rho`` passes ``stokesfield._mirror_map`` and the grid is
-    even or dl = 0, reflecting x or y maps the texture S to R S, with one
-    orthogonal R of determinant -1, so its density is even in x and in y.
-    Its Stokes planes, norm, unit texture and density are then formed from
-    the block ``[lo:, lo:]`` of the coordinates alone
-    (``lgmodes._coords_block`` with a STENCIL_ORDER // 2 halo); only the
-    density and the mask cover the grid.  The degenerate set is then the
-    envelope mask at every weight p > 0 for which p times the smallest
-    unmasked |S| of the block is at least 2 DEGENERACY_EPS (the |S| of the
-    other quadrants are those of their mirror images up to rounding), and
-    every point at p = 0.  Any other weight, K or grid falls back to
-    ``channel_skyrmion_numbers``: on an odd grid with dl != 0, the centre
-    row of a plane that x -> -x negates is the rounded cos(dl pi/2) or
-    sin(dl pi/2), ~1e-16, not the exact 0 of a mirror.  A result of the
-    block carries no texture: its ``field`` is None.
+    A pure state's K turns the reflections x -> -x and y -> -y into S -> R S,
+    R orthogonal with det R = -1, so its density is even in x and in y: the
+    texture and stencil run on the quadrant x, y >= 0 (with the centre row
+    and column when n is odd) and its STENCIL_ORDER // 2 halo alone
+    (``lgmodes._coords_block``), and the quadrant's density is reflected into
+    the other three.  Weight p's degenerate set is the quadrant's p |S| <
+    DEGENERACY_EPS, reflected, with the envelope mask: a weight whose set is
+    that mask shares the p = 1 result, any other gets the p = 1 density zeroed
+    on its set's stencil footprint (exactly 0 at p = 0).  ``weights`` are
+    already checked; no result carries a texture (``field`` is None).
     """
-    k = _stokes_map(rho)
-    if _mirror_map(k) and not (grid.samples_per_axis % 2 and spec.delta_ell):
-        coords, mask = _coords_block(spec, grid, waist, STENCIL_ORDER // 2)
-        size = coords.shape[1]
-        block_mask = mask[-size:, -size:]
-        _, s1, s2, s3 = (k.T @ coords.reshape(4, -1)).reshape(coords.shape)
-        norm = _vector_norm(s1, s2, s3)
-        low = float(norm.min(initial=math.inf, where=~block_mask))
-        if all(p * low >= 2.0 * DEGENERACY_EPS for p in weights if p > 0):
-            planes, _ = _unit_planes((s1, s2, s3), norm, block_mask)
-            texture = _result(_density(planes, mask, grid.spacing, block=True),
-                              mask, mask, grid.spacing)
-            collapsed = _result(None, np.ones(mask.shape, dtype=bool), mask, grid.spacing)
-            texture.density.flags.writeable = collapsed.density.flags.writeable = False
-            return iter([texture if p else collapsed for p in weights])
-    return channel_skyrmion_numbers(rho, coeff_field(spec, grid, waist=waist), weights)
+    half, h = STENCIL_ORDER // 2, grid.spacing
+    coords, mask = _coords_block(spec, grid, waist, half)
+    block_mask = mask[-coords.shape[1]:, -coords.shape[1]:]
+    _, *s = (_stokes_map(pure_state(spec)).T @ coords.reshape(4, -1)).reshape(coords.shape)
+    norm = _vector_norm(*s)
+    planes, _ = _unit_planes(s, norm, block_mask)
+    density = np.empty(mask.shape)
+    _unfold(_density(planes, block_mask, h)[half:, half:], density)
+    texture = _result(density, mask, mask, h)
+    texture.density.flags.writeable = False
+    quadrant = norm[half:, half:]
+    low = float(quadrant.min(initial=math.inf, where=~block_mask[half:, half:]))
+
+    def result(p: float) -> SkyrmionResult:
+        if p * low >= DEGENERACY_EPS:
+            return texture
+        grown = np.empty(mask.shape, dtype=bool)
+        _unfold(p * quadrant < DEGENERACY_EPS, grown)
+        return _result(texture.density, grown | mask, mask, h)
+
+    return map(result, weights)
 
 
 def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> SkyrmionResult:

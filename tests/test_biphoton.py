@@ -162,6 +162,12 @@ class TestContrastRelations:
             with pytest.raises(ValueError):
                 f(0.99)
 
+    @pytest.mark.parametrize("qc", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinite_contrast(self, qc):
+        for f in (contrast_to_p, contrast_to_purity):
+            with pytest.raises(ValueError, match="quantum contrast must be >= 1"):
+                f(qc)
+
     def test_high_contrast_state_is_high_purity(self):
         assert contrast_to_purity(32.3) >= 0.79
 
@@ -173,6 +179,7 @@ class TestContrastRelations:
     def test_contrast_at_unit_weight_is_infinite(self):
         assert contrast_from_p(1.0) == math.inf
         assert contrast_to_p(math.inf) == 1.0
+        assert contrast_to_purity(math.inf) == 1.0
 
     def test_published_purity_forms_agree(self):
         qcs = np.concatenate([np.linspace(1.0, 10.0, 400), np.geomspace(10.0, 1e3, 400)])

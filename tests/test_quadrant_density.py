@@ -1,13 +1,12 @@
-"""The quadrant Skyrmion density of mirror-symmetric textures, and the
-whole-grid density of every channel texture.
+"""The quadrant Skyrmion density of analytic sweeps, and the whole-grid
+density of every channel texture.
 
 An analytic sweep (``topology._sweep_results``) builds its density from one
-quadrant plus its stencil halo (``lgmodes._coords_block`` and
-``topology._density(..., block=True)``) when the Stokes map K of the state
-passes ``_mirror_map`` and the grid is even or dl = 0.  These tests hold
-that density to the whole grid's stencil (``skyrmion_density``) on the same
-texture, and ``channel_skyrmion_numbers``, which always takes the whole-grid
-stencil, to ``skyrmion_number`` of the same chain bit for bit.
+quadrant plus its stencil halo (``lgmodes._coords_block``) and reflects it
+into the other three, on every grid.  These tests hold that density to the
+whole grid's stencil (``skyrmion_density``) on the same texture, and
+``channel_skyrmion_numbers``, which always takes the whole-grid stencil, to
+``skyrmion_number`` of the same chain bit for bit.
 """
 
 import dataclasses
@@ -32,34 +31,19 @@ from qskyrmion import (
     stokes_field,
     suggested_grid,
 )
-from qskyrmion.lgmodes import _coords_block
-from qskyrmion.stokesfield import (
-    DEGENERACY_EPS,
-    SIGMA,
-    _mirror_map,
-    _stokes_map,
-    _unit_planes,
-    _vector_norm,
-)
-from qskyrmion.topology import STENCIL_ORDER, _density
+from qskyrmion.stokesfield import DEGENERACY_EPS, SIGMA
+from qskyrmion.topology import _sweep_results
 
 TOLERANCE = 1e-13
-HALO = STENCIL_ORDER // 2
 
 
 def assert_matches_full_stencil(spec, grid):
-    # the sweep's block route: the coordinates, Stokes planes and unit texture
-    # of the quadrant and its halo, and the density reflected from that block
-    rho = pure_state(spec)
-    k = _stokes_map(rho)
-    assert _mirror_map(k)
-    coords, mask = _coords_block(spec, grid, 1.0, HALO)
-    size = coords.shape[1]
-    s = (k.T @ coords.reshape(4, -1)).reshape(coords.shape)[1:]
-    planes, _ = _unit_planes(s, _vector_norm(*s), mask[-size:, -size:])
-    density = _density(planes, mask, grid.spacing, block=True)
+    # the sweep's block route: the density of the quadrant and its halo, reflected
+    (result,) = _sweep_results(spec, grid, [1.0], waist=1.0)
+    density = result.density
     assert (density == density[::-1]).all()
     assert (density == density[:, ::-1]).all()
+    rho = pure_state(spec)
     whole = skyrmion_density(normalize_stokes(stokes_field(rho, coeff_field(spec, grid))))
     assert np.abs(density - whole).max() <= TOLERANCE
 
@@ -75,14 +59,11 @@ def assert_takes_full_stencil(rho, coeffs):
     ell1=st.integers(-8, 8),
     ell2=st.integers(-8, 8),
     delta=st.floats(-10.0, 10.0),
-    p=st.floats(0.0, 1.0),
-    n=st.sampled_from([16, 48]),
+    n=st.sampled_from([16, 17, 48, 65]),
 )
 @settings(max_examples=60, deadline=None)
-def test_channel_outputs_pass_the_gate_and_match_the_full_stencil(ell1, ell2, delta, p, n):
-    # the gate is the sweep's: K of every channel output passes _mirror_map
+def test_sweep_density_matches_the_full_stencil(ell1, ell2, delta, n):
     spec = HybridStateSpec(ell1, ell2, delta)
-    assert _mirror_map(_stokes_map(apply_isotropic_noise(pure_state(spec), p)))
     assert_matches_full_stencil(spec, suggested_grid(spec, n))
 
 
@@ -97,11 +78,12 @@ def test_masked_windows_match_the_full_stencil(charges, n):
 @pytest.mark.parametrize("n", [65, 97])
 @pytest.mark.parametrize("charges", [(0, 1), (3, -4), (0, 2)])
 def test_odd_grids_keep_the_full_stencil(charges, n):
-    # an analytic sweep falls back to the channel here: the centre row x = 0 is
-    # its own mirror image, and coeff_field's cos(dl pi/2) or sin(dl pi/2) rounds
-    # to ~1e-16 there instead of the exact 0 a reflection needs
+    # the centre row x = 0 is its own mirror image: the channel's whole-grid
+    # stencil reads it as coeff_field rounds it, and the sweep's block, which
+    # reflects only the rows beside it, matches that stencil
     spec = HybridStateSpec(*charges)
     assert_takes_full_stencil(pure_state(spec), coeff_field(spec, GridSpec(30.0, n)))
+    assert_matches_full_stencil(spec, GridSpec(30.0, n))
 
 
 def test_grown_masks_match_the_full_stencil():
@@ -129,7 +111,6 @@ def test_ginibre_state_keeps_the_full_stencil():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    assert not _mirror_map(_stokes_map(rho))
     spec = HybridStateSpec(0, 2)
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
@@ -141,22 +122,20 @@ def test_polarization_turn_that_feeds_n_x_into_s3_keeps_the_full_stencil():
     turn = np.kron(np.eye(2), u)
     spec = HybridStateSpec(0, 3, 0.5)
     rho = turn @ pure_state(spec).matrix @ turn.conj().T
-    assert not _mirror_map(_stokes_map(rho))
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 2)],
                          ids=["a-into-S1", "n_x-into-S3", "Q-not-conformal"])
 def test_one_more_coherence_keeps_the_full_stencil(entry):
-    # each breaks one condition of the sweep's _mirror_map: |ell1,P1><ell1,P2|
-    # feeds |a|^2 into S1; |ell1,P1><ell2,P1| feeds n_x into S3; |ell1,P2><ell2,P1|
-    # leaves (S1, S2) fed by (n_x, n_y) alone, through neither a scaled rotation
-    # nor a scaled reflection
+    # each breaks the mirror symmetry of a channel output's texture:
+    # |ell1,P1><ell1,P2| feeds |a|^2 into S1; |ell1,P1><ell2,P1| feeds n_x into S3;
+    # |ell1,P2><ell2,P1| leaves (S1, S2) fed by (n_x, n_y) alone, through neither
+    # a scaled rotation nor a scaled reflection
     spec = HybridStateSpec(0, 3, 0.5)
     rho = apply_isotropic_noise(pure_state(spec), 0.8).matrix
     rho[entry] += 0.02
     rho[entry[::-1]] += 0.02
-    assert not _mirror_map(_stokes_map(rho))
     assert_takes_full_stencil(rho, coeff_field(spec, suggested_grid(spec, 64)))
 
 

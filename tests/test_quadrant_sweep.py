@@ -1,16 +1,17 @@
 """Analytic sweeps built from one quadrant of the grid.
 
-``run_sweep`` takes an analytic sweep's numbers from ``topology._sweep_results``:
-where the Stokes map passes the mirror check and the grid is even (or dl = 0),
-it forms the coordinates, Stokes planes and unit texture of the quadrant and
-its stencil halo alone (``lgmodes._coords_block``), and otherwise falls back
-to ``channel_skyrmion_numbers`` over ``coeff_field``.  These tests hold the
-block to ``coeff_field``'s planes bit for bit and the sweep's rows to those of
+``run_sweep`` takes an analytic sweep's numbers from ``topology._sweep_results``,
+on every grid and at every weight: it forms the coordinates, Stokes planes and
+unit texture of the quadrant and its stencil halo alone
+(``lgmodes._coords_block``) and reflects the quadrant's density into the other
+three.  These tests hold the block to ``coeff_field``'s planes bit for bit,
+the sweep's results to an exactly even density, and its rows to those of
 ``channel_skyrmion_numbers``, which are ``skyrmion_number``'s of the whole
-texture: bit for bit where it falls back, and within 1e-13 where it takes the
-block (``test_quadrant_density.py`` holds the block's density to the whole
-grid's stencil within the same bound).
+texture, within 1e-13 (``test_quadrant_density.py`` holds the block's density
+to the whole grid's stencil within the same bound).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -61,15 +62,19 @@ def test_block_is_the_coordinates_of_the_whole_grid(charges, half_width, n):
         assert mask[lo:, lo:].any() and not mask[lo:, lo:].all()
 
 
-@given(
+SWEEPS = dict(
     ell1=st.integers(-8, 8),
     ell2=st.integers(-8, 8),
     delta=st.floats(-10.0, 10.0),
-    n=st.sampled_from([16, 48, 65]),
+    n=st.sampled_from([16, 17, 48, 65]),
     half_width=st.sampled_from([None, 30.0]),
-    weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-7, DEGENERACY_EPS]),
+    weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-7, DEGENERACY_EPS,
+                                                1.5 * DEGENERACY_EPS]),
                                st.floats(1e-4, 1.0)), min_size=1, max_size=6),
 )
+
+
+@given(**SWEEPS)
 @settings(max_examples=60, deadline=None)
 def test_sweep_rows_are_those_of_the_channel(ell1, ell2, delta, n, half_width, weights):
     spec = HybridStateSpec(ell1, ell2, delta)
@@ -77,17 +82,28 @@ def test_sweep_rows_are_those_of_the_channel(ell1, ell2, delta, n, half_width, w
     rows = run_sweep(cfg)
     refs = list(channel_skyrmion_numbers(pure_state(spec), coeff_field(spec, cfg.grid()),
                                          weights))
-    # the |S| of a pure state's texture is 1 wherever it is unmasked
-    fallback = (n % 2 and spec.delta_ell) or any(0 < p < 1e-4 for p in weights)
-    for row, ref in zip(rows, refs, strict=True):
-        got = (row.skyrmion_number, row.residual, row.masked_fraction)
-        if fallback:
-            assert got == (ref.number, ref.residual, ref.masked_fraction)
-        else:
-            assert row.masked_fraction == ref.masked_fraction
-            assert round(row.skyrmion_number) == ref.rounded
-            assert abs(row.skyrmion_number - ref.number) <= TOLERANCE
-            assert abs(row.residual - ref.residual) <= TOLERANCE
+    for p, row, ref in zip(weights, rows, refs, strict=True):
+        # the |S| of a pure state's texture is 1 up to rounding wherever it is
+        # unmasked, so at p = DEGENERACY_EPS rounding decides the channel's set
+        if math.isclose(p, DEGENERACY_EPS, rel_tol=1e-12):
+            continue
+        assert row.masked_fraction == ref.masked_fraction
+        assert round(row.skyrmion_number) == ref.rounded
+        assert abs(row.skyrmion_number - ref.number) <= TOLERANCE
+        assert abs(row.residual - ref.residual) <= TOLERANCE
+
+
+@given(**SWEEPS)
+@settings(max_examples=60, deadline=None)
+def test_sweep_density_is_even_and_holds_the_envelope_mask(ell1, ell2, delta, n, half_width,
+                                                           weights):
+    spec = HybridStateSpec(ell1, ell2, delta)
+    grid = suggested_grid(spec, n) if half_width is None else GridSpec(half_width, n)
+    envelope = coeff_field(spec, grid).mask.mean()
+    for result in topology._sweep_results(spec, grid, weights, waist=1.0):
+        assert (result.density == result.density[::-1]).all()
+        assert (result.density == result.density[:, ::-1]).all()
+        assert result.masked_fraction >= envelope
 
 
 COUNTED = ("coeff_field", "stokes_field", "normalize_stokes")
@@ -110,20 +126,21 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("charges,samples", [((0, 3), 64), ((0, 3), 256), ((2, -5), 64),
-                                             ((2, 2), 65)],
-                         ids=["even", "even-256", "even-dl7", "odd-dl0"])
-def test_even_grid_sweep_forms_no_whole_grid_field(calls, charges, samples):
-    rows = run_sweep(sweep_config(HybridStateSpec(*charges), README_WEIGHTS, samples))
+@pytest.mark.parametrize("charges,weights,samples", [
+    ((0, 3), README_WEIGHTS, 64), ((0, 3), README_WEIGHTS, 256), ((2, -5), README_WEIGHTS, 64),
+    ((2, 2), README_WEIGHTS, 65), ((0, 3), README_WEIGHTS, 65), ((0, 3), [1.0, 0.5, 1e-7], 64),
+    ((0, 3), [1.0, 1.5 * DEGENERACY_EPS], 64),
+], ids=["even", "even-256", "even-dl7", "odd-dl0", "odd-grid", "tiny-weight",
+        "one-and-a-half-eps"])
+def test_even_grid_sweep_forms_no_whole_grid_field(calls, charges, weights, samples):
+    # odd grids and tiny weights take the same block as even grids
+    rows = run_sweep(sweep_config(HybridStateSpec(*charges), weights, samples))
     assert calls == dict.fromkeys(COUNTED, 0)
-    assert rows[-1].skyrmion_number == 0.0 and rows[-1].masked_fraction == 1.0
-
-
-@pytest.mark.parametrize("weights,samples", [(README_WEIGHTS, 65), ([1.0, 0.5, 1e-7], 64),
-                                             ([1.0, 1.5 * DEGENERACY_EPS], 64)],
-                         ids=["odd-grid", "tiny-weight", "below-twice-eps"])
-def test_odd_grid_and_tiny_weight_take_the_channel(calls, weights, samples):
-    # a pure state's |S| is 1, so 1.5 DEGENERACY_EPS grows no degenerate set, but
-    # it is inside the margin the block's |S| is held to
-    run_sweep(sweep_config(HybridStateSpec(0, 3), weights, samples))
-    assert calls == dict.fromkeys(COUNTED, 1)
+    for row in rows:
+        # a pure state's |S| is 1, so p < DEGENERACY_EPS masks every point and
+        # any larger weight keeps the set of p = 1
+        if row.p < DEGENERACY_EPS:
+            assert row.skyrmion_number == 0.0 and row.masked_fraction == 1.0
+        else:
+            assert (row.skyrmion_number, row.masked_fraction) == (
+                rows[0].skyrmion_number, rows[0].masked_fraction)

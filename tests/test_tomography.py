@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,20 @@ class TestAverageQuantumContrast:
         with pytest.warns(UserWarning, match="ceiling"):
             n = noise_rate_for_contrast(1e6, pair_rate=1e5, window=WINDOW)
         assert n == 0.0
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_noise_rate_rejects_a_target_that_is_not_finite(self, target):
+        with pytest.raises(ValueError, match="target contrast must be finite and exceed 1"):
+            noise_rate_for_contrast(target, pair_rate=1e5, window=WINDOW)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["pair_rate", "window", "duration"])
+    def test_noise_rate_rejects_a_source_not_positive_and_finite(self, name, value):
+        source = dict(pair_rate=1e5, window=WINDOW, duration=1.0) | {name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raises before any ceiling is formed or warned
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                noise_rate_for_contrast(3.0, **source)
 
 
 class TestLinearInversion:
