@@ -24,6 +24,8 @@ from .biphoton import HybridStateSpec
 _LOG_TINY = math.log(5e-324)
 # largest |ell| whose factorial, and so whose envelope normalization, is a finite double
 MAX_CHARGE = 170
+# log of the normalization constant of LG_ell at unit waist, by |ell|
+_LOG_NORM = [0.5 * math.log(2.0 / (math.pi * math.factorial(la))) for la in range(MAX_CHARGE + 1)]
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class ModeSpec:
 class GridSpec:
     """Square uniform grid centered at the origin.
 
-    Points run over ``linspace(-half_width, half_width, samples_per_axis)``
-    along both axes; arrays are indexed [i, j] <-> (x_i, y_j).
+    Points run over ``linspace(-half_width, half_width, samples_per_axis)``, made exactly
+    antisymmetric (:meth:`axis`), along both axes; arrays are indexed [i, j] <-> (x_i, y_j).
     """
 
     half_width: float
@@ -63,7 +65,11 @@ class GridSpec:
         return 2.0 * self.half_width / (self.samples_per_axis - 1)
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.samples_per_axis)
+        """linspace's points x >= 0 and their negatives: x[n-1-i] = -x[i], centre 0."""
+        n = self.samples_per_axis
+        upper = np.linspace(-self.half_width, self.half_width, n)[n // 2 :]
+        upper[: n % 2] = 0.0  # the centre of an odd n
+        return np.concatenate([-upper[n % 2 :][::-1], upper])
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.axis()
@@ -87,11 +93,11 @@ class CoeffField:
     n = (2 Re(a b*), 2 Im(a b*), |a|^2 - |b|^2), shape (n^2, 4), with masked
     rows zero; every Stokes field is linear in h.  n_z and 1 are kept apart
     as (1 +- n_z)/2, so that neither |a|^2 nor |b|^2 loses digits to the
-    other.  :func:`coeff_field` builds them once, from one quadrant of the
-    grid and without complex arithmetic, as four contiguous (n, n) planes
-    whose (n^2, 4) view ``coords`` is: readers must not assume interleaved
-    rows.  The complex fields ``a`` and ``b`` are not stored: each read
-    computes them over the whole grid.
+    other; |a|^2 + |b|^2 = 1 to an ulp.  :func:`coeff_field` builds them once,
+    from one quadrant of the grid and without complex arithmetic, as four
+    contiguous (n, n) planes whose (n^2, 4) view ``coords`` is: readers must
+    not assume interleaved rows.  The complex fields ``a`` and ``b`` are not
+    stored: each read computes them over the whole grid.
     """
 
     mask: np.ndarray
@@ -103,15 +109,15 @@ class CoeffField:
     @property
     def a(self) -> np.ndarray:
         """a(r) = |LG_ell1|/eta, real and non-negative, as a complex (n, n) array."""
-        amag, _, _ = _envelope_pair(self.state, self.grid.polar()[0], self.waist)
-        return amag.astype(complex)
+        a2, _, _, _ = _envelope_pair(self.state, self.grid.polar()[0], self.waist)
+        return np.sqrt(a2).astype(complex)
 
     @property
     def b(self) -> np.ndarray:
         """b(r) = e^{i dl phi}|LG_ell2|/eta as a complex (n, n) array."""
         r, phi = self.grid.polar()
-        _, bmag, _ = _envelope_pair(self.state, r, self.waist)
-        return bmag * np.exp(1j * self.state.delta_ell * phi)
+        _, b2, _, _ = _envelope_pair(self.state, r, self.waist)
+        return np.sqrt(b2) * np.exp(1j * self.state.delta_ell * phi)
 
 
 def lg_amplitude(r, phi, mode: ModeSpec):
@@ -119,7 +125,7 @@ def lg_amplitude(r, phi, mode: ModeSpec):
 
     This is C (sqrt(2) r / w)^{|ell|} exp(-r^2/w^2) exp(i ell phi) with C
     chosen so the mode is L2-normalized over the plane, evaluated as the
-    exponential of :func:`_log_envelope`.  Scalars or broadcastable arrays
+    exponential of :func:`_log_envelopes`.  Scalars or broadcastable arrays
     are accepted; |ell| above ``MAX_CHARGE`` raises ValueError.
 
     Parameters
@@ -141,7 +147,7 @@ def lg_amplitude(r, phi, mode: ModeSpec):
         raise ValueError("r and phi must be finite")
     if np.any(r < 0):
         raise ValueError("radius must be non-negative")
-    out = np.exp(_log_envelope(r, mode.ell, mode.waist)) * np.exp(1j * mode.ell * phi)
+    out = np.exp(_log_envelopes(r, mode.waist, mode.ell)[1]) * np.exp(1j * mode.ell * phi)
     return out.item() if out.ndim == 0 else out
 
 
@@ -154,15 +160,13 @@ def check_charge(ell: int) -> int:
     return la
 
 
-def _log_envelope(r: np.ndarray, ell: int, waist: float) -> np.ndarray:
-    """log |LG_ell(r)|, stable far beyond underflow."""
-    la = check_charge(ell)
-    lc = 0.5 * math.log(2.0 / (math.pi * math.factorial(la))) - math.log(waist)
-    if la == 0:
-        return lc - (r / waist) ** 2
+def _log_envelopes(r: np.ndarray, waist: float, *ells: int) -> tuple[np.ndarray, ...]:
+    """lr = log(sqrt(2) r / waist), -inf at r = 0, then log |LG_ell(r)| of each
+    of ``ells`` from that one log of r, stable far beyond underflow."""
     with np.errstate(divide="ignore"):
-        lr = np.where(r > 0, np.log(np.sqrt(2.0) * np.maximum(r, 1e-300) / waist), -np.inf)
-    return lc + la * lr - (r / waist) ** 2
+        lr = np.log(np.sqrt(2.0) * r / waist)
+    return lr, *(_LOG_NORM[la] - math.log(waist) + (la * lr if la else 0.0) - (r / waist) ** 2
+                 for la in map(check_charge, ells))
 
 
 def check_waist(waist: float) -> None:
@@ -172,35 +176,22 @@ def check_waist(waist: float) -> None:
 
 
 def _envelope_pair(state: HybridStateSpec, r: np.ndarray, waist: float):
-    """|a|, |b| and the underflow mask at radii ``r``.
+    """|a|^2, |b|^2, 2|a||b| and the underflow mask at radii ``r``.
 
-    |a| = |LG_ell1|/eta and |b| = |LG_ell2|/eta with
-    eta = sqrt(|LG_ell1|^2 + |LG_ell2|^2), the ratio taken in log space so it
-    stays accurate arbitrarily far into the Gaussian tail; the mask is True
-    where eta itself underflows double precision.
+    All three come from d = log(|LG_ell1|/|LG_ell2|) = (c1 - c2) + (|ell1| - |ell2|) lr, with
+    lr = log(sqrt(2) r/w) and c the normalization constants, in which the Gaussian cancels
+    exactly: with t = exp(-2|d|) the larger weight is 1/(1 + t), the smaller t/(1 + t) and
+    2|a||b| = 2 sqrt(t)/(1 + t), so |a|^2 + |b|^2 = 1 to an ulp at any radius.  Equal |ell|
+    give d = 0; otherwise d = +-inf at r = 0 gives the limit along r, (1, 0) or (0, 1).  The
+    mask is True where eta underflows, as at r = 0 between two vortex charges.
     """
-    l1 = _log_envelope(r, state.ell1, waist)
-    l2 = _log_envelope(r, state.ell2, waist)
-    top = np.maximum(l1, l2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        leta = top + 0.5 * np.log1p(np.exp(-2.0 * np.abs(l1 - l2)))
-        amag = np.exp(l1 - leta)
-        bmag = np.exp(l2 - leta)
-    # the only point where both envelopes are exactly zero is r = 0 with
-    # two nonzero charges; the limit along r is (1,0) or (0,1) by which
-    # charge has the smaller magnitude
-    degenerate = np.isinf(l1) & np.isinf(l2)
-    if np.any(degenerate):
-        if abs(state.ell1) < abs(state.ell2):
-            lim_a, lim_b = 1.0, 0.0
-        elif abs(state.ell1) > abs(state.ell2):
-            lim_a, lim_b = 0.0, 1.0
-        else:
-            lim_a = lim_b = 1.0 / math.sqrt(2.0)  # equal charges: any point on the circle
-        amag = np.where(degenerate, lim_a, amag)
-        bmag = np.where(degenerate, lim_b, bmag)
-    # NaN (eta exactly zero) fails the comparison and is masked too
-    return amag, bmag, ~(leta >= _LOG_TINY)
+    lr, l1, l2 = _log_envelopes(r, waist, state.ell1, state.ell2)
+    la1, la2 = abs(state.ell1), abs(state.ell2)
+    d = _LOG_NORM[la1] - _LOG_NORM[la2] + (la1 - la2) * lr if la1 != la2 else np.zeros_like(r)
+    t = np.exp(-2.0 * np.abs(d))
+    big, small, first = 1.0 / (1.0 + t), t / (1.0 + t), d >= 0
+    mask = ~(np.maximum(l1, l2) + 0.5 * np.log1p(t) >= _LOG_TINY)
+    return np.where(first, big, small), np.where(first, small, big), 2.0 * np.sqrt(t) * big, mask
 
 
 def coeff_field(
@@ -212,8 +203,8 @@ def coeff_field(
     """Bloch coordinates of a(r) = |LG_ell1|/eta and b(r) = e^{i dl phi}|LG_ell2|/eta.
 
     eta(r) = sqrt(|LG_ell1|^2 + |LG_ell2|^2) normalizes the pair pointwise.
-    The ratio of the two envelopes is evaluated in log space, so the field
-    is accurate arbitrarily far into the Gaussian tail; points where eta
+    |a|^2 and |b|^2 come from one log ratio of the two envelopes, so they sum
+    to 1 to an ulp arbitrarily far into the Gaussian tail; points where eta
     itself underflows double precision are masked rather than divided
     through.  These are the position overlaps of the two OAM kets (up to a
     common phase); the state's relative phase delta is not part of them, it
@@ -225,7 +216,8 @@ def coeff_field(
     The magnitudes depend on |x| and |y| alone, and the angle terms change
     sign by reflection: x -> -x takes phi to pi - phi, which multiplies the
     cosine by (-1)^dl and the sine by -(-1)^dl, and y -> -y flips the sine.
-    The other three quadrants are written from it by index.
+    The other three quadrants are written from it by index, at the exact
+    mirror images that the antisymmetric :meth:`GridSpec.axis` holds.
 
     Parameters
     ----------
@@ -251,17 +243,16 @@ def _coords_block(state: HybridStateSpec, grid: GridSpec, waist: float, halo: in
     when n is odd), evaluated once, and the ``halo`` rows and columns before
     it, its reflections times :func:`_reflection_signs`; ``halo = n//2`` is
     the whole grid.  So a smaller block holds the same bits as that part of
-    the whole grid's planes, and the rest of the grid is never formed.
+    the whole grid's planes, and the rest of the grid is never formed.  The
+    weights are :func:`_envelope_pair`'s, and the reflections exact mirror images.
     """
     check_waist(waist)
     n = grid.samples_per_axis
     q = grid.axis()[n // 2 :]
     qx, qy = q[:, None], q[None, :]
-    amag, bmag, qmask = _envelope_pair(state, np.hypot(qx, qy), waist)
+    a2, b2, ab, qmask = _envelope_pair(state, np.hypot(qx, qy), waist)
     angle = state.delta_ell * np.arctan2(qy, qx)
-    ab = amag * bmag
-    ab *= 2.0
-    planes = (amag * amag, bmag * bmag, ab * np.cos(angle), -(ab * np.sin(angle)))
+    planes = (a2, b2, ab * np.cos(angle), -(ab * np.sin(angle)))
     size = len(q) + halo
     block = np.empty((4, size, size))
     for plane, out, sign_x, sign_y in zip(planes, block, *_reflection_signs(state)):

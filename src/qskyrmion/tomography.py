@@ -71,10 +71,17 @@ def settings_36() -> list[MeasurementSetting]:
     return out
 
 
+def _kron_pairs(f: np.ndarray) -> np.ndarray:
+    """np.kron(f[i], f[j]) of each pair of a (6, 2, m) stack ``f``, in settings_36 order."""
+    return (f[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(36, 4, -1)
+
+
 _SETTINGS = settings_36()
-_PROJECTORS = np.array([s.projector() for s in _SETTINGS])
+_BASIS = np.array(list(_BASIS_STATES.values()))
+_PHOTON_PROJECTORS = _BASIS[:, :, None] * _BASIS[:, None, :].conj()
+_PROJECTORS = _kron_pairs(_PHOTON_PROJECTORS)
 # each projector is rank one, Pi_k = v_k v_k^dag with v_k = state_a (x) state_b
-_VECTORS = np.array([np.kron(s.state_a, s.state_b) for s in _SETTINGS])
+_VECTORS = _kron_pairs(_BASIS[:, :, None]).reshape(36, 4)
 
 
 @dataclass
@@ -250,8 +257,7 @@ def average_quantum_contrast(record: TomographyRecord) -> float:
 # Per photon the six projectors give sum_P P Tr(P X) = X + Tr(X) I, inverted by
 # X -> X - Tr(X) I / 3: rho = sum_k Tr(Pi_k rho) D_k with the dual frame
 # D_k = (P_a - I/3) (x) (P_b - I/3), and that sum over frequencies is least squares.
-_DUALS = np.array([np.kron(*(np.outer(v, v.conj()) - np.eye(2) / 3.0
-                             for v in (s.state_a, s.state_b))) for s in _SETTINGS])
+_DUALS = _kron_pairs(_PHOTON_PROJECTORS - np.eye(2) / 3.0)
 
 
 def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
@@ -263,14 +269,18 @@ def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
     construction but may carry slightly negative eigenvalues, reported via
     ``min_eigenvalue`` rather than repaired.
     """
+    return DensityMatrix4(_dual_frame_estimate(record), noise_weight=None, require_physical=False)
+
+
+def _dual_frame_estimate(record: TomographyRecord) -> np.ndarray:
+    """The matrix of :func:`linear_inversion`, Hermitian with unit trace, unchecked."""
     counts = record.coincidences - record.accidentals()
     total = counts.sum()
     if total <= 0:
         raise ValueError("record carries no net signal counts")
     freqs = 9.0 * counts / total
     rho = (freqs @ _DUALS.reshape(36, 16)).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix4(rho, noise_weight=None, require_physical=False)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _params_to_cholesky(t: np.ndarray) -> np.ndarray:
@@ -511,14 +521,13 @@ def mle_reconstruct(
     background = record.accidentals()
     counts = record.coincidences
     scale = (counts - background).sum() / 9.0
+    start = np.eye(4, dtype=complex) / 4.0 if init is None else init.matrix
     if scale <= 0:  # no net signal: the raw counts set the scale, and I/4 the start
         scale = max(counts.sum(), 1.0) / 9.0
-        if init is None:
-            init = DensityMatrix4(np.eye(4) / 4.0, require_physical=False)
     elif init is None:
-        init = linear_inversion(record)
+        start = _dual_frame_estimate(record)
     args = (counts, background, scale)
-    rho, evals, evecs = _project(init.matrix)
+    rho, evals, evecs = _project(start)
     nll, gmat = _nll_grad(rho, *args)
     if gmat is None:  # a setting with counts has no expected counts: mix in I/4
         rho = 0.99 * rho + 0.0025 * np.eye(4)

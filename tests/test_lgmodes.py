@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from qskyrmion import GridSpec, HybridStateSpec, ModeSpec, coeff_field, lg_amplitude
+from qskyrmion import GridSpec, HybridStateSpec, ModeSpec, bloch_texture, coeff_field, lg_amplitude
 
 
 class TestModeSpec:
@@ -20,6 +20,16 @@ class TestGridSpec:
     def test_spacing(self):
         g = GridSpec(half_width=5.0, samples_per_axis=101)
         assert g.spacing == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("n", [16, 17, 97, 256])
+    @pytest.mark.parametrize("half_width", [0.1, 5.0, 7.3, 30.0])
+    def test_axis_is_exactly_antisymmetric(self, n, half_width):
+        x = GridSpec(half_width, n).axis()
+        np.testing.assert_array_equal(x[::-1], -x)
+        assert (x[0], x[-1]) == (-half_width, half_width)
+        assert np.all(np.diff(x) > 0)
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
@@ -100,6 +110,41 @@ class TestCoeffField:
         live = ~cf.mask
         norms = np.abs(cf.a[live]) ** 2 + np.abs(cf.b[live]) ** 2
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    @given(
+        charges=st.tuples(st.integers(-12, 12), st.integers(-12, 12)) | st.just((0, 170)),
+        n=st.sampled_from((16, 17, 48, 97)),
+        half_width=st.floats(min_value=3.0, max_value=30.0),
+    )
+    @example(charges=(2, -5), n=48, half_width=30.0)
+    @settings(max_examples=60, deadline=None)
+    def test_coordinates_are_exact_on_unmasked_points(self, charges, n, half_width):
+        # |a|^2 + |b|^2 = 1 and so |n| = 1 to an ulp or two, however far
+        # into the Gaussian tail the window reaches
+        cf = coeff_field(HybridStateSpec(*charges), GridSpec(half_width, n))
+        live = ~cf.mask
+        h = cf.coords[live.ravel()]
+        bloch = bloch_texture(cf).vectors[live]
+        assert np.abs(h[:, 0] + h[:, 1] - 1.0).max(initial=0.0) <= 2.3e-16
+        assert np.abs(np.sum(bloch**2, axis=1) - 1.0).max(initial=0.0) <= 8.9e-16
+
+    @pytest.mark.parametrize("n", [17, 97])
+    @pytest.mark.parametrize("charges, weights", [
+        ((2, -5), (1.0, 0.0)),
+        ((-3, 1), (0.0, 1.0)),
+        ((1, -1), (math.sqrt(0.5),) * 2),
+        ((3, 3), (math.sqrt(0.5),) * 2),
+    ])
+    def test_centre_coefficients_are_the_limits_along_r(self, n, charges, weights):
+        # r = 0 lies on an odd grid; the smaller |ell| takes all the weight
+        # there, and equal |ell| share it equally at every radius
+        grid = GridSpec(6.0, n)
+        assert grid.axis()[n // 2] == 0.0
+        cf = coeff_field(HybridStateSpec(*charges, 0.4), grid)
+        centre = (n // 2, n // 2)
+        for value, weight in zip((cf.a[centre], cf.b[centre]), weights):
+            assert value.imag == 0.0
+            assert abs(value.real - weight) <= np.spacing(weight)
 
     def test_azimuthal_phase_structure(self):
         spec = HybridStateSpec(0, 3, 0.7)

@@ -1,9 +1,12 @@
-"""coeff_field's one-quadrant, real-arithmetic coordinates against the full-grid formula.
+"""coeff_field's one-quadrant, real-arithmetic coordinates against a long-double reference.
 
-The reference below evaluates the coefficient field the direct way: both
-log envelopes, the log-space normalization and the complex fields
-a = |a|, b = |b| e^{i dl phi} at every grid point, then the homogeneous
-Bloch coordinates with n_x and n_y halved, (|a|^2, |b|^2, Re(a b*), Im(a b*)),
+The reference below evaluates the coefficient field the direct way, in
+``np.longdouble`` and without the package's log-ratio formula: at every
+grid point the weights |a|^2 = 1/(1 + q) and |b|^2 = 1/(1 + 1/q) from the
+power q = |LG_ell2/LG_ell1|^2 = (C2/C1)^2 (sqrt(2) r/w)^(2|ell2| - 2|ell1|),
+whose limits at r = 0 need no branch, the mask from log eta, and the
+complex fields a = |a|, b = |b| e^{i dl phi}; then the homogeneous Bloch
+coordinates with n_x and n_y halved, (|a|^2, |b|^2, Re(a b*), Im(a b*)),
 with masked rows zeroed.
 """
 
@@ -24,49 +27,29 @@ STATES = ((0, 1), (0, -2), (2, -5), (-3, 1), (0, 12), (1, -1))
 HALVE = np.array([1.0, 1.0, 0.5, 0.5])
 
 
-def log_envelope(r, ell, waist):
-    la = abs(ell)
-    lc = 0.5 * math.log(2.0 / (math.pi * math.factorial(la))) - math.log(waist)
-    with np.errstate(divide="ignore"):
-        lr = np.log(math.sqrt(2.0) * r / waist) if la else 0.0
-    return lc + la * lr - (r / waist) ** 2
-
-
 def reference(spec, grid, waist=1.0):
-    """(a, b, mask, halved coordinates) over the whole grid, the direct way."""
-    r, phi = grid.polar()
-    l1 = log_envelope(r, spec.ell1, waist)
-    l2 = log_envelope(r, spec.ell2, waist)
-    with np.errstate(invalid="ignore", over="ignore"):
-        leta = np.maximum(l1, l2) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(l1 - l2)))
-        amag = np.exp(l1 - leta)
-        bmag = np.exp(l2 - leta)
-    # r = 0 with two vortex charges: the limit along r, by the smaller |ell|
-    centre = np.isinf(l1) & np.isinf(l2)
+    """(a, b, mask, halved coordinates) over the whole grid, in long double."""
+    x, y = (c.astype(np.longdouble) for c in grid.mesh())
+    r, phi = np.hypot(x, y), np.arctan2(y, x)
+    w = np.longdouble(waist)
+    s = np.sqrt(np.longdouble(2.0)) * r / w
     la1, la2 = abs(spec.ell1), abs(spec.ell2)
-    lim_a = 1.0 if la1 < la2 else 0.0 if la1 > la2 else 1.0 / math.sqrt(2.0)
-    lim_b = 1.0 if la1 > la2 else 0.0 if la1 < la2 else 1.0 / math.sqrt(2.0)
-    amag = np.where(centre, lim_a, amag)
-    bmag = np.where(centre, lim_b, bmag)
-    mask = ~(leta >= LOG_TINY)
-    a = amag.astype(complex)
-    b = bmag * np.exp(1j * spec.delta_ell * phi)
-    ab = a * b.conj()
-    coords = np.stack([np.abs(a) ** 2, np.abs(b) ** 2, ab.real, ab.imag], axis=-1)
+
+    def envelope(la):
+        norm = np.sqrt(2.0 / (np.pi * np.prod(np.arange(1, la + 1, dtype=np.longdouble)))) / w
+        return norm, norm * s**la * np.exp(-((r / w) ** 2))
+
+    (c1, env1), (c2, env2) = envelope(la1), envelope(la2)
+    with np.errstate(divide="ignore"):
+        q = (c2 / c1) ** 2 * s ** np.longdouble(2 * (la2 - la1))
+        amag, bmag = np.sqrt(1.0 / (1.0 + q)), np.sqrt(1.0 / (1.0 + 1.0 / q))
+        mask = ~(0.5 * np.log(env1**2 + env2**2) >= LOG_TINY)
+    angle = spec.delta_ell * phi
+    coords = np.stack([amag**2, bmag**2, amag * bmag * np.cos(angle),
+                       -(amag * bmag * np.sin(angle))], axis=-1)
     coords[mask] = 0.0
-    return a, b, mask, coords.reshape(-1, 4)
-
-
-class SymmetricGrid(GridSpec):
-    """A grid whose axis is exactly antisymmetric, x[n-1-i] = -x[i]."""
-
-    def axis(self):
-        x = super().axis()
-        half = self.samples_per_axis // 2
-        x[:half] = -x[: -half - 1 : -1]
-        if self.samples_per_axis % 2:
-            x[half] = 0.0
-        return x
+    a, b = amag.astype(complex), (bmag * np.exp(1j * angle)).astype(complex)
+    return a, b, mask, coords.reshape(-1, 4).astype(float)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -78,7 +61,6 @@ def test_features_match_full_grid_reference(n, charges):
     _, _, mask, coords = reference(spec, grid)
     assert cf.coords.shape == (n * n, 4)
     np.testing.assert_array_equal(cf.mask, mask)
-    # the two differ only through np.linspace, whose x and -x are an ulp apart
     np.testing.assert_allclose(cf.coords * HALVE, coords, rtol=0, atol=1e-14)
     assert not cf.coords[cf.mask.ravel()].any()
 
@@ -86,10 +68,10 @@ def test_features_match_full_grid_reference(n, charges):
 @pytest.mark.parametrize("n", (16, 17, 64, 97))
 @pytest.mark.parametrize("charges", STATES + ((2, -2), (1, 2), (-4, 0), (3, 0)))
 def test_mirror_signs_on_an_antisymmetric_axis(n, charges):
-    # with x and -x exact negatives, every mirrored value is the reference's
-    # own arithmetic up to the rounding of cos/sin of dl*phi and dl*(pi - phi)
+    # GridSpec.axis is exactly antisymmetric, so every mirrored value is the
+    # quadrant's, within the rounding of cos/sin of dl*phi and of dl*(pi - phi)
     spec = HybridStateSpec(*charges)
-    grid = SymmetricGrid(suggested_grid(spec, n).half_width, n)
+    grid = suggested_grid(spec, n)
     cf = coeff_field(spec, grid)
     _, _, mask, coords = reference(spec, grid)
     np.testing.assert_array_equal(cf.mask, mask)
