@@ -313,6 +313,10 @@ def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
     """Record of ``rho`` at the pair rate, window and duration of ``source``,
     with the noise rate that targets the contrast channel weight ``p`` implies."""
     qc_ceiling = _contrast_ceiling(source.pair_rate, source.window, source.duration)
+    if not qc_ceiling > 1.0:
+        product = source.pair_rate * source.window * source.duration
+        raise ValueError(f"pair rate x window x duration = {product:.2g} leaves no quantum "
+                         "contrast above 1")
     target = min(max(contrast_from_p(p), 1.005), qc_ceiling)
     noise = noise_rate_for_contrast(target, pair_rate=source.pair_rate,
                                     window=source.window, duration=source.duration)
@@ -327,20 +331,12 @@ def run_sweep(cfg: SweepConfig, deterministic: bool = False) -> list[SweepRow]:
     """Run the configured sweep; rows come back in the order of the sweep points.
 
     For a ``qc`` sweep each point is mapped to its channel weight first;
-    every row carries both p and the contrast it implies.  The sweep runs
-    in two phases, so the 4x4 work and the grid work each run together:
-
-    1. The states and their witnesses.  The channel outputs p rho + (1 - p) I/4
-       of every point form one (K, 4, 4) stack.  A tomographic point then, in
-       order, reconstructs its record (Poisson seed ``seed`` plus the point's
-       index) with one :func:`mle_reconstruct` call and takes the contrast
-       from the record.  One stacked call gives every state's witnesses.
-    2. Per point: the Skyrmion number, and the row.  Channel outputs share
-       one texture, whose coordinates, Stokes planes and density are formed
-       on one quadrant and its stencil halo alone
-       (``topology._sweep_results``); a reconstructed state's texture is an
-       affine image of the grid's OAM Bloch texture, whose density is built
-       once and pulled back (:func:`pullback_skyrmion_number`).
+    every row carries both p and the contrast it implies.  Every point's
+    state and witnesses come first (a tomographic point's record, Poisson
+    seed ``seed`` plus its index, and one :func:`mle_reconstruct` call), then
+    every number, from :func:`_sweep_results` or
+    :func:`pullback_skyrmion_number`: interleaved with the grid work, each
+    point's 4x4 work would start cold.
     """
     grid = cfg.grid()
     weights = [value if cfg.sweep_var == "p" else contrast_to_p(value) for value in cfg.points]
@@ -408,18 +404,13 @@ def run_topology_gallery(
     """Textures and Skyrmion numbers for each spec, clean and noisy.
 
     Each state is evaluated at p = 1 and at the supplied channel weight on
-    its tail-safe window; matching rounded numbers across the pair is the
-    noise-invariance statement and is reported per row.  When ``out_dir``
-    is set, the normalized textures (x, y, S1, S2, S3) and a summary table
-    are written there; file names hold the charges alone, so two specs of
-    the same charges then raise ValueError before anything is written.
-
-    Isotropic noise only scales (S1, S2, S3) by p, so both results of a
-    state, and the textures they carry as ``field``, come from one p = 1
-    texture and density (:func:`channel_skyrmion_numbers`).  While the
-    noisy result is the clean one, both files share one formatted body;
-    otherwise the noisy file has its own body with the grown degenerate set
-    zeroed.
+    its tail-safe window, by :func:`channel_skyrmion_numbers`; matching
+    rounded numbers across the pair is the noise-invariance statement and
+    is reported per row.  When ``out_dir`` is set, the normalized textures
+    (x, y, S1, S2, S3) and a summary table are written there, one formatted
+    body for both files while the noisy result is the clean one; file names
+    hold the charges alone, so two specs of the same charges then raise
+    ValueError before anything is written.
     """
     _check_weight(p)
     # every state's window, and so its charges, is checked before any file is written

@@ -14,10 +14,13 @@ h = (|a|^2, |b|^2, n_x, n_y) of :attr:`CoeffField.coords` and
 N = (2 M_00, 2 M_11, M_01 + M_10, i(M_01 - M_10)).  So S_mu = sum_k h_k K_k,mu
 with K_k,mu = Re Tr(sigma_mu N_k): one (4, 4) x (4, n^2) product K^T h^T per
 state writes the four Stokes planes.  Grid fields are stored as contiguous
-component planes, of which the (n^2, 4) and (n, n, 3) shapes are views.
-Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2, h and n are related
-by n = T h and h = F n + d, so every texture is an affine image of n,
-(S1, S2, S3) = M n + c (:func:`bloch_texture`, :func:`_stokes_affine`).
+component planes, of which the (n^2, 4) and (n, n, 3) shapes are views; only
+their producers choose that layout, and every reader gives the same bits for
+a field stored interleaved.  Since |a|^2 = (1 + n_z)/2 and |b|^2 = (1 - n_z)/2,
+h and n are related by n = T h and h = F n + d on unmasked points, the
+constants _T, _F and _D, so every texture is an affine image of n,
+(S1, S2, S3) = M n + c with (M, c) = (K^T F, K^T d) over columns 1..3 of K
+(:func:`bloch_texture`, :func:`_stokes_affine`).
 """
 
 from __future__ import annotations
@@ -95,8 +98,7 @@ def _stokes_map(rho) -> np.ndarray:
 
 
 def _stokes_affine(rho) -> tuple[np.ndarray, np.ndarray]:
-    """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n:
-    S = K^T h over columns 1..3 of K, and h = F n + d on unmasked points."""
+    """(M, c) with (S1, S2, S3)(r) = M n(r) + c over the OAM Bloch vector n."""
     k = _stokes_map(rho)[:, 1:]
     return k.T @ _F, k.T @ _D
 
@@ -179,18 +181,16 @@ def projection_pair(rho, coeffs: CoeffField, point: tuple[int, int], axis: int):
     return i_plus, i_minus, noise_share
 
 
-def normalize_stokes(field: StokesField, norm: np.ndarray | None = None) -> UnitVectorField:
+def normalize_stokes(field: StokesField) -> UnitVectorField:
     """Map the Stokes vector field onto the unit sphere.
 
     Each (S1, S2, S3) is divided by its Euclidean norm; points with norm
     below ``DEGENERACY_EPS`` are masked as degenerate.  A field whose every
     point is degenerate (the p = 0 maximally mixed limit) comes back fully
-    masked, ``collapsed``, instead of raising.  A caller that holds
-    ``field.vector_norm()`` passes it as ``norm``, which is read, not modified.
+    masked, ``collapsed``, instead of raising.
     """
-    if norm is None:
-        norm = field.vector_norm()
-    planes, degenerate = _unit_planes((field.s1, field.s2, field.s3), norm, field.mask)
+    planes, degenerate = _unit_planes((field.s1, field.s2, field.s3), field.vector_norm(),
+                                      field.mask)
     return UnitVectorField(np.moveaxis(planes, 0, -1), degenerate, field.grid)
 
 

@@ -494,21 +494,18 @@ def mle_reconstruct(
     """Maximum-likelihood state estimate over the density matrices.
 
     Maximizes the Poisson log-likelihood of the coincidence counts with the
-    per-setting accidental estimate as a known background.  The signal
-    scale is estimated from the record totals.  The iterate starts at
-    ``init`` projected onto the density matrices.  Each iteration takes one
-    Newton step over the states of the iterate's rank or, where that step
-    does not descend or the previous Newton step did not halve the KKT gap,
-    one projected-gradient step instead (its curvature estimate is halved,
-    then doubled until the step passes the sufficient-decrease test; the
-    projection is an eigendecomposition whose eigenvalues are projected
-    onto the simplex).
-    The loop stops when the gradient step makes no descent, or once the
-    KKT gap Tr(G rho) - lambda_min(G), with G = sum_k s (1 - c_k/mu_k) Pi_k
-    the gradient, is at most 1e-9 times the total coincidence count (at
-    least 1); the gap bounds how far the likelihood is from its maximum.
-    Non-convergence returns the last iterate with ``converged`` False and a
-    warning.
+    per-setting accidental estimate as a known background; the signal scale
+    is estimated from the record totals.  The iterate starts at ``init``
+    projected onto the density matrices (:func:`_project`).  Each iteration
+    is one :func:`_newton_step` or, where it does not descend or the previous
+    one did not halve the KKT gap, one projected-gradient step, the only step
+    that changes the rank: its curvature estimate is halved, then doubled
+    until the step passes a sufficient-decrease test that allows for the
+    rounding of the objective, so records of ten counts converge too.  The
+    loop stops when the gradient step makes no descent, or once the KKT gap
+    (:func:`_kkt_gap`) is at most ``_MLE_TOL`` times the total coincidence
+    count (at least 1).  Non-convergence returns the last iterate with
+    ``converged`` False and a warning.
 
     Parameters
     ----------

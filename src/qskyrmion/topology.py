@@ -64,11 +64,8 @@ class SkyrmionResult:
     """Skyrmion number with its quantization diagnostics.
 
     ``rounded`` is advisory; ``residual`` = |number - rounded| is the error
-    gauge and is reported, never silently absorbed.  ``field`` is the
-    texture the density belongs to: the state's own unit texture, or for
-    :func:`pullback_skyrmion_number` the OAM Bloch texture whose density
-    was pulled back.  Only the analytic sweep's route (``_sweep_results``),
-    which forms no whole-grid texture, leaves it None.
+    gauge and is reported, never silently absorbed.  ``field`` is the texture
+    that the producing function documents (None from :func:`_sweep_results`).
     """
 
     number: float
@@ -134,15 +131,10 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
 
 
 def _density(planes: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
-    """The density over the grid or block of ``mask``, zeroed on its stencil
-    footprint, from a texture's (3, m, m) component planes at spacing ``h``."""
-    density = _plane_density(planes, h)
-    density[_stencil_footprint(mask)] = 0.0
-    return density
-
-
-def _plane_density(planes: np.ndarray, h: float) -> np.ndarray:
-    """S . (dS/dx x dS/dy) of the (3, m, m) component planes at spacing ``h``."""
+    """S . (dS/dx x dS/dy) over the grid or block of ``mask``, zeroed on its
+    stencil footprint, from a texture's (3, m, m) component planes at spacing
+    ``h``.  Each derivative is one sliding-window contraction (:func:`_diff`),
+    and the triple product is written out over the planes, without np.cross."""
     sx, sy, sz = planes
     # _diff runs along axis 0: x derivatives through a view with x first (its output
     # has the planes' layout), y derivatives on a transposed copy, copied back to planes
@@ -152,6 +144,8 @@ def _plane_density(planes: np.ndarray, h: float) -> np.ndarray:
     density = sx * (ay * bz - az * by)
     density += sy * (az * bx - ax * bz)
     density += sz * (ax * by - ay * bx)
+    del ax, ay, az, bx, by, bz  # not held through the footprint's temporaries
+    density[_stencil_footprint(mask)] = 0.0
     return density
 
 
@@ -187,7 +181,9 @@ def _result(density, degenerate, mask, h: float,
     over 4*pi of the density, zeroed (in a new array) on the footprint of a
     set grown beyond ``mask``.  The integral is ``w @ density @ w``, with
     ``w`` the trapezoid weights of an axis: spacing ``h``, halved at either
-    end.  ``field`` is the texture the result carries."""
+    end, which agrees with nested np.trapezoid to the rounding of the sums.
+    Every Skyrmion number of the package ends here.  ``field`` is the texture
+    the result carries."""
     count = np.count_nonzero(degenerate)
     if count == degenerate.size:
         number, density = 0.0, np.zeros(degenerate.shape)
@@ -242,7 +238,7 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
     for p in weights:
         _check_weight(p)
     raw = stokes_field(rho, coeffs)
-    field = normalize_stokes(raw, norm := raw.vector_norm())
+    field, norm = normalize_stokes(raw), raw.vector_norm()  # one norm held at a time
     del raw  # the Stokes planes are not held through the density's temporaries
     result = skyrmion_number(field)
     result.density.flags.writeable = False
@@ -269,16 +265,24 @@ def _sweep_results(spec: HybridStateSpec, grid: GridSpec, weights, *,
     """The numbers, residuals and masked fractions of ``channel_skyrmion_numbers(
     pure_state(spec), coeff_field(spec, grid, waist=waist), weights)``.
 
-    A pure state's K turns the reflections x -> -x and y -> -y into S -> R S,
-    R orthogonal with det R = -1, so its density is even in x and in y: the
-    texture and stencil run on the quadrant x, y >= 0 (with the centre row
-    and column when n is odd) and its STENCIL_ORDER // 2 halo alone
-    (``lgmodes._coords_block``), and the quadrant's density is reflected into
-    the other three.  Weight p's degenerate set is the quadrant's p |S| <
-    DEGENERACY_EPS, reflected, with the envelope mask: a weight whose set is
-    that mask shares the p = 1 result, any other gets the p = 1 density zeroed
-    on its set's stencil footprint (exactly 0 at p = 0).  ``weights`` are
-    already checked; no result carries a texture (``field`` is None).
+    A pure state's K feeds |a|^2, |b|^2 into S3 alone and (n_x, n_y) into
+    (S1, S2) alone, by a scaled rotation or reflection, so the reflections
+    x -> -x and y -> -y map S to R S, R orthogonal with det R = -1: the
+    density is even in x and in y.  The texture and stencil run on the
+    quadrant x, y >= 0 (the centre row and column, as coeff_field rounds
+    them, when n is odd) and its STENCIL_ORDER // 2 halo alone
+    (:func:`lgmodes._coords_block`), which at 256^2 skips 6 MiB of fields and
+    ~3/4 of the stencil, and the quadrant's density is reflected into the
+    other three.  It differs from the whole grid's by that stencil's own
+    rounding asymmetry: up to 7.6e-15 of its peak and 9e-16 in N (6 states
+    at 64^2 to 256^2, 11 charge pairs at 17^2 to 257^2, masked windows too).
+    Weight p's degenerate set is the quadrant's p |S| < DEGENERACY_EPS,
+    reflected, with the envelope mask: a weight whose set is that mask
+    shares the p = 1 result, any other gets the p = 1 density zeroed on its
+    set's stencil footprint (exactly 0 at p = 0).  At p = DEGENERACY_EPS
+    rounding decides the set, so mirror images may round apart from the
+    channel's (equal in 99 of 198 odd-grid cases, N within 1.2e-20).
+    ``weights`` are already checked; no result carries a texture.
     """
     half, h = STENCIL_ORDER // 2, grid.spacing
     coords, mask = _coords_block(spec, grid, waist, half)
@@ -314,7 +318,9 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     (det M + n . adj(M) c) / |S|^3 for unit n; the cofactors, not the
     inverse, keep det M = 0 free of a branch.  The difference stencil runs
     once, on n, in ``bloch``; each state then costs one product
-    [K^T; cof(M) T] h^T, of S and cof(M) n, and a few (n, n) products.
+    [K^T; cof(M) T] h^T, of S and cof(M) n, and a few (n, n) products.  S is
+    read from h, not formed as M n + c, which would carry the cancellation
+    that :class:`CoeffField` keeps n_z and 1 apart to avoid, divided by |S|^3.
 
     The degenerate set (|S| < DEGENERACY_EPS, with the envelope mask) is
     applied as :func:`skyrmion_number` applies it to

@@ -188,16 +188,16 @@ def test_channel_numbers_match_per_point_chain(ell1, ell2, delta, p):
 
 class CountingDensity:
     """Counts the densities built: every one, whole-grid (skyrmion_density)
-    or from a quadrant (the analytic sweep), comes from topology._plane_density."""
+    or from a quadrant (the analytic sweep), comes from topology._density."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self._plane_density = topology._plane_density
-        monkeypatch.setattr(topology, "_plane_density", self)
+        self._density = topology._density
+        monkeypatch.setattr(topology, "_density", self)
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self._plane_density(*args, **kwargs)
+        return self._density(*args, **kwargs)
 
 
 def test_analytic_sweep_builds_one_density(monkeypatch):

@@ -38,8 +38,11 @@ def run_error(capsys, argv):
     ("", "sweep needs 'values' or 'start'/'stop'/'step'"),
     ("values = 1\npipeline = foo",
      "line 5: pipeline must be 'analytic' or 'tomographic', got 'foo'"),
+    # pair rate x window x duration beyond ~9e15 rounds the contrast ceiling to 1
+    ("values = 0.8\npipeline = tomographic\npair_rate = 1e24",
+     "pair rate x window x duration = 2.5e+16 leaves no quantum contrast above 1"),
 ], ids=["sweep", "values", "empty-values", "missing-stop", "zero-step", "no-points",
-        "pipeline"])
+        "pipeline", "no-contrast-headroom"])
 def test_config_error_names_its_line(tmp_path, capsys, lines, message):
     path = tmp_path / "s.cfg"
     path.write_text(BASE + lines + "\n")
@@ -52,7 +55,9 @@ def test_config_error_names_its_line(tmp_path, capsys, lines, message):
      "cannot parse resolutions '64,abc'"),
     (["converge", "--ell1", "0", "--ell2", "1", "--resolutions", ","],
      "at least one resolution is required"),
-], ids=["state-spec", "resolutions", "no-resolutions"])
+    (["tomo", "--ell1", "0", "--ell2", "1", "--pair-rate", "1e24"],
+     "pair rate x window x duration = 2.5e+16 leaves no quantum contrast above 1"),
+], ids=["state-spec", "resolutions", "no-resolutions", "no-contrast-headroom"])
 def test_flag_error(capsys, argv, message):
     assert run_error(capsys, argv) == message
 
@@ -98,10 +103,18 @@ def test_converge_unwritable_output_fails_before_the_scan(tmp_path, capsys, monk
       "--density-out"], "|ell| = 300 exceeds 170"),
     (["converge", "--ell1", "0", "--ell2", "300", "--half-width", "5", "--resolutions", "16",
       "--out"], "|ell| = 300 exceeds 170"),
+    # the auto window scales with the waist: a spacing outside [2^-511, 2^511] would
+    # make the charge density subnormal, or inf - inf
+    (["skyrmion", "--ell1", "0", "--ell2", "1", "--waist", "1e-300", "--density-out"],
+     "grid spacing "),
+    (["skyrmion", "--ell1", "0", "--ell2", "1", "--waist", "1e300", "--density-out"],
+     "grid spacing "),
+    (["skyrmion", "--ell1", "0", "--ell2", "1", "--half-width", "1e308", "--density-out"],
+     "grid spacing "),
 ], ids=["skyrmion-p", "converge-p", "converge-no-resolutions", "skyrmion-charge",
-        "converge-charge"])
+        "converge-charge", "tiny-waist", "huge-waist", "huge-window"])
 def test_rejected_input_creates_no_output(tmp_path, capsys, argv, message):
-    # weight, charge and resolution rules run before the output file is created
+    # weight, charge, resolution and grid rules run before the output file is created
     out = tmp_path / "f.csv"
     assert run_error(capsys, [*argv, str(out)]).startswith(message)
     assert not out.exists()

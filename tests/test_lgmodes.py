@@ -35,6 +35,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(half_width=5.0, samples_per_axis=8)
 
+    @pytest.mark.parametrize("half_width", [1e-160, 1e160, 1e308])
+    def test_rejects_a_spacing_whose_square_is_not_normal(self, half_width):
+        with pytest.raises(ValueError, match="grid spacing"):
+            GridSpec(half_width, 64)
+
     def test_rejects_non_integer_samples(self):
         with pytest.raises(ValueError, match="integer"):
             GridSpec(half_width=5.0, samples_per_axis=64.7)

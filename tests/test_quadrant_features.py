@@ -4,7 +4,7 @@ The reference below evaluates the coefficient field the direct way, in
 ``np.longdouble`` and without the package's log-ratio formula: at every
 grid point the weights |a|^2 = 1/(1 + q) and |b|^2 = 1/(1 + 1/q) from the
 power q = |LG_ell2/LG_ell1|^2 = (C2/C1)^2 (sqrt(2) r/w)^(2|ell2| - 2|ell1|),
-whose limits at r = 0 need no branch, the mask from log eta, and the
+whose limits at r = 0 need no branch, the mask from log(eta w), and the
 complex fields a = |a|, b = |b| e^{i dl phi}; then the homogeneous Bloch
 coordinates with n_x and n_y halved, (|a|^2, |b|^2, Re(a b*), Im(a b*)),
 with masked rows zeroed.
@@ -43,7 +43,7 @@ def reference(spec, grid, waist=1.0):
     with np.errstate(divide="ignore"):
         q = (c2 / c1) ** 2 * s ** np.longdouble(2 * (la2 - la1))
         amag, bmag = np.sqrt(1.0 / (1.0 + q)), np.sqrt(1.0 / (1.0 + 1.0 / q))
-        mask = ~(0.5 * np.log(env1**2 + env2**2) >= LOG_TINY)
+        mask = ~(0.5 * np.log(env1**2 + env2**2) + np.log(w) >= LOG_TINY)
     angle = spec.delta_ell * phi
     coords = np.stack([amag**2, bmag**2, amag * bmag * np.cos(angle),
                        -(amag * bmag * np.sin(angle))], axis=-1)
@@ -53,19 +53,6 @@ def reference(spec, grid, waist=1.0):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("charges", STATES)
-def test_features_match_full_grid_reference(n, charges):
-    spec = HybridStateSpec(*charges)
-    grid = suggested_grid(spec, n)
-    cf = coeff_field(spec, grid)
-    _, _, mask, coords = reference(spec, grid)
-    assert cf.coords.shape == (n * n, 4)
-    np.testing.assert_array_equal(cf.mask, mask)
-    np.testing.assert_allclose(cf.coords * HALVE, coords, rtol=0, atol=1e-14)
-    assert not cf.coords[cf.mask.ravel()].any()
-
-
-@pytest.mark.parametrize("n", (16, 17, 64, 97))
 @pytest.mark.parametrize("charges", STATES + ((2, -2), (1, 2), (-4, 0), (3, 0)))
 def test_mirror_signs_on_an_antisymmetric_axis(n, charges):
     # GridSpec.axis is exactly antisymmetric, so every mirrored value is the
@@ -74,8 +61,10 @@ def test_mirror_signs_on_an_antisymmetric_axis(n, charges):
     grid = suggested_grid(spec, n)
     cf = coeff_field(spec, grid)
     _, _, mask, coords = reference(spec, grid)
+    assert cf.coords.shape == (n * n, 4)
     np.testing.assert_array_equal(cf.mask, mask)
     np.testing.assert_allclose(cf.coords * HALVE, coords, rtol=0, atol=4e-15)
+    assert not cf.coords[cf.mask.ravel()].any()
 
 
 def test_masked_rows_are_positive_zero():
