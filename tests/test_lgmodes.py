@@ -40,6 +40,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="grid spacing"):
             GridSpec(half_width, 64)
 
+    @pytest.mark.parametrize("bound", [2.0**-511, 2.0**511], ids=["low", "high"])
+    def test_accepts_a_spacing_on_the_bound(self, bound):
+        # 65 samples give spacing = half_width / 32 exactly
+        h = GridSpec(32.0 * bound, 65).spacing
+        assert h == bound
+        assert np.isfinite(1.0 / (h * h)) and min(h * h, 1.0 / (h * h)) >= np.finfo(float).tiny
+
+    @pytest.mark.parametrize("bound, step", [(2.0**-511, 0.0), (2.0**511, math.inf)],
+                             ids=["low", "high"])
+    def test_rejects_a_spacing_one_ulp_past_the_bound(self, bound, step):
+        with pytest.raises(ValueError, match="grid spacing"):
+            GridSpec(32.0 * math.nextafter(bound, step), 65)
+
     def test_rejects_non_integer_samples(self):
         with pytest.raises(ValueError, match="integer"):
             GridSpec(half_width=5.0, samples_per_axis=64.7)
