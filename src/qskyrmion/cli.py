@@ -313,10 +313,6 @@ def _simulate_record(rho, p: float, source, deterministic: bool, seed: int):
     """Record of ``rho`` at the pair rate, window and duration of ``source``,
     with the noise rate that targets the contrast channel weight ``p`` implies."""
     qc_ceiling = _contrast_ceiling(source.pair_rate, source.window, source.duration)
-    if not qc_ceiling > 1.0:
-        product = source.pair_rate * source.window * source.duration
-        raise ValueError(f"pair rate x window x duration = {product:.2g} leaves no quantum "
-                         "contrast above 1")
     target = min(max(contrast_from_p(p), 1.005), qc_ceiling)
     noise = noise_rate_for_contrast(target, pair_rate=source.pair_rate,
                                     window=source.window, duration=source.duration)
@@ -664,9 +660,9 @@ def _cmd_gallery(args) -> int:
 def _cmd_tomo(args) -> int:
     state = HybridStateSpec(args.ell1, args.ell2, args.delta)
     rho_in = apply_isotropic_noise(pure_state(state), args.p)
+    record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)
     if args.out:
         _create_output(args.out)
-    record = _simulate_record(rho_in, args.p, args, args.deterministic, args.seed)
     estimate = mle_reconstruct(record)
     print(f"average quantum contrast = {average_quantum_contrast(record):.4f}")
     _print_state(estimate.rho, state)

@@ -15,7 +15,9 @@ reconstructed back to that state.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -76,12 +78,20 @@ def _kron_pairs(f: np.ndarray) -> np.ndarray:
     return (f[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(36, 4, -1)
 
 
+def _real_layout(mats: np.ndarray) -> np.ndarray:
+    """A stack of complex 4 x 4 matrices as a real (n, 32) array, row k
+    mats[k].view(float): a real combination w @ rows, viewed as complex, is
+    sum_k w_k mats[k]."""
+    return np.ascontiguousarray(mats).reshape(len(mats), 16).view(float)
+
+
 _SETTINGS = settings_36()
 _BASIS = np.array(list(_BASIS_STATES.values()))
 _PHOTON_PROJECTORS = _BASIS[:, :, None] * _BASIS[:, None, :].conj()
 _PROJECTORS = _kron_pairs(_PHOTON_PROJECTORS)
 # each projector is rank one, Pi_k = v_k v_k^dag with v_k = state_a (x) state_b
 _VECTORS = _kron_pairs(_BASIS[:, :, None]).reshape(36, 4)
+_DESIGN = _real_layout(_PROJECTORS)
 
 
 @dataclass
@@ -196,8 +206,33 @@ def simulate_counts(
 
 
 def _contrast_ceiling(pair_rate: float, window: float, duration: float) -> float:
-    """Highest average contrast a source reaches (at zero noise)."""
-    return 1.0 + 1.0 / (window * duration * pair_rate)
+    """Highest average contrast a source reaches (at zero noise), 1 + 1/(T duration pair_rate).
+
+    Raises ValueError, naming pair rate x window x duration, where that
+    product (or window x duration on the way to it) is below the smallest
+    normal double, so that its reciprocal would overflow or lose its
+    precision, and where the product is so large that the ceiling rounds to 1.
+    """
+    span = window * duration
+    if not span >= sys.float_info.min:
+        raise _source_error(pair_rate, window, duration,
+                            "underflows double precision in window x duration")
+    product = span * pair_rate
+    if not product >= sys.float_info.min:
+        raise _source_error(pair_rate, window, duration, "underflows double precision")
+    ceiling = 1.0 + 1.0 / product
+    if not ceiling > 1.0:
+        raise _source_error(pair_rate, window, duration, "leaves no quantum contrast above 1")
+    return ceiling
+
+
+def _source_error(pair_rate: float, window: float, duration: float, problem: str) -> ValueError:
+    """A ValueError naming pair rate x window x duration, formed exactly as a
+    Decimal: as a double it reads 0 or inf where it underflows or overflows."""
+    from decimal import Decimal
+
+    product = Decimal(pair_rate) * Decimal(window) * Decimal(duration)
+    return ValueError(f"pair rate x window x duration = {product:.2g} {problem}")
 
 
 def noise_rate_for_contrast(
@@ -212,8 +247,9 @@ def noise_rate_for_contrast(
     Inverts Qc = 1 + pair_rate / (4 T duration (pair_rate/2 + n)^2), valid
     for the maximally-mixed-marginal states this package produces.  The
     highest reachable contrast is :func:`_contrast_ceiling`; targets beyond
-    it clamp to n = 0 with a warning.  A target that is not finite, or a
-    pair rate, window or duration not positive and finite, raises ValueError.
+    it clamp to n = 0 with a warning.  A target that is not finite, a pair
+    rate, window or duration not positive and finite, or a source whose
+    ceiling or noise relation leaves double precision raises ValueError.
     """
     if not 1.0 < target_qc < math.inf:
         raise ValueError(f"target contrast must be finite and exceed 1, got {target_qc}")
@@ -225,8 +261,12 @@ def noise_rate_for_contrast(
             f"target contrast {target_qc:g} exceeds the source ceiling {qc_max:g}; "
             "using zero noise", stacklevel=2)
         return 0.0
-    n = math.sqrt(pair_rate / (4.0 * window * duration * (target_qc - 1.0))) - pair_rate / 2.0
-    return max(n, 0.0)
+    scaled = 4.0 * window * duration * (target_qc - 1.0)
+    ratio = pair_rate / scaled
+    if not (sys.float_info.min <= scaled < math.inf and sys.float_info.min <= ratio < math.inf):
+        raise _source_error(pair_rate, window, duration, "puts the noise rate for contrast "
+                            f"{target_qc:g} outside double precision")
+    return max(math.sqrt(ratio) - pair_rate / 2.0, 0.0)
 
 
 def average_quantum_contrast(record: TomographyRecord) -> float:
@@ -257,7 +297,7 @@ def average_quantum_contrast(record: TomographyRecord) -> float:
 # Per photon the six projectors give sum_P P Tr(P X) = X + Tr(X) I, inverted by
 # X -> X - Tr(X) I / 3: rho = sum_k Tr(Pi_k rho) D_k with the dual frame
 # D_k = (P_a - I/3) (x) (P_b - I/3), and that sum over frequencies is least squares.
-_DUALS = _kron_pairs(_PHOTON_PROJECTORS - np.eye(2) / 3.0)
+_DUALS = _real_layout(_kron_pairs(_PHOTON_PROJECTORS - np.eye(2) / 3.0))
 
 
 def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
@@ -269,17 +309,18 @@ def linear_inversion(record: TomographyRecord) -> DensityMatrix4:
     construction but may carry slightly negative eigenvalues, reported via
     ``min_eigenvalue`` rather than repaired.
     """
-    return DensityMatrix4(_dual_frame_estimate(record), noise_weight=None, require_physical=False)
-
-
-def _dual_frame_estimate(record: TomographyRecord) -> np.ndarray:
-    """The matrix of :func:`linear_inversion`, Hermitian with unit trace, unchecked."""
     counts = record.coincidences - record.accidentals()
+    return DensityMatrix4(_dual_frame_estimate(counts), noise_weight=None, require_physical=False)
+
+
+def _dual_frame_estimate(counts: np.ndarray) -> np.ndarray:
+    """The matrix of :func:`linear_inversion` from the net counts (coincidences
+    less accidentals), Hermitian with unit trace, unchecked."""
     total = counts.sum()
     if total <= 0:
         raise ValueError("record carries no net signal counts")
     freqs = 9.0 * counts / total
-    rho = (freqs @ _DUALS.reshape(36, 16)).reshape(4, 4)
+    rho = freqs.dot(_DUALS).view(complex).reshape(4, 4)
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -302,36 +343,66 @@ def _cholesky_to_params(ch: np.ndarray) -> np.ndarray:
     return np.array(t)
 
 
-def _expected_counts(rho, background, scale, projectors=_PROJECTORS):
-    """mu_k = scale Tr(Pi_k rho) + background_k for every setting."""
-    return scale * (projectors.reshape(len(projectors), 16) @ rho.T.ravel()).real + background
+class _Likelihood:
+    """The constants of one record's likelihood, formed once per record.
+
+    ``design`` is the projector stack in the real layout of
+    :func:`_real_layout`, a (36, 32) matrix, times ``scale``.  For a
+    Hermitian Pi_k, Re Tr(Pi_k rho) = sum_ij Re(Pi_k)_ij Re(rho)_ij +
+    Im(Pi_k)_ij Im(rho)_ij, so mu = design @ rho.view(float).ravel() +
+    background is one real product, and the gradient sum_k w_k scale Pi_k
+    is another, w @ design.  ``seen`` marks the settings with counts,
+    ``inverse`` holds 1/c there and 0 elsewhere, and ``unseen`` 1 where
+    there are no counts.  ``weights`` (1 - c/mu) and ``c_over_mu`` are
+    the ``where=`` targets of :func:`_nll_grad` and :func:`_newton_step`:
+    their entries at settings without counts are set to 1 and 0 here and
+    never written again.  The kernels that use these constants
+    multiply with ``ndarray.dot``, whose call costs less than ``@`` on
+    arrays this small.
+    """
+
+    __slots__ = ("counts", "background", "scale", "design", "seen", "inverse", "unseen",
+                 "weights", "c_over_mu")
+
+    def __init__(self, counts, background, scale, design=_DESIGN):
+        self.counts = counts
+        self.background = background
+        self.scale = scale
+        self.design = scale * design
+        self.seen = counts > 0
+        self.inverse = np.divide(1.0, counts, out=np.zeros_like(counts), where=self.seen)
+        self.unseen = 1.0 - self.seen
+        self.weights = np.ones_like(counts)
+        self.c_over_mu = np.zeros_like(counts)
 
 
-def _nll_grad(rho, counts, background, scale, projectors=_PROJECTORS):
-    """Centered Poisson negative log-likelihood of ``rho`` and its gradient.
+def _nll_grad(rho, lik: _Likelihood):
+    """Centered Poisson negative log-likelihood of ``rho``, its gradient and mu.
 
     Each setting adds mu - c - c log(mu / c), with mu = scale Tr(Pi rho) +
     background, which is 0 at mu = c: near the optimum the sum is of the
     order of the number of settings, not the ~1e7 of sum(mu - c log mu), so
     the backtracking tests compare it at full precision.  The gradient is
-    G = sum_k scale (1 - c_k / mu_k) Pi_k.  The value is infinite, with no
-    gradient, where a setting with counts has mu <= 0.
+    G = sum_k scale (1 - c_k / mu_k) Pi_k.  mu and G are one real product
+    each with ``lik.design``, and a setting without counts takes its ratio
+    mu / c = 1 and weight 1 from the constants of ``lik``.  Returns (nll, G,
+    mu); the value is infinite, with no G or mu, where a setting with counts
+    has mu <= 0.
     """
-    mu = _expected_counts(rho, background, scale, projectors)
-    seen = counts > 0
-    if np.any((mu <= 0) & seen):
-        return math.inf, None
-    diff = mu - counts
-    excess = np.divide(diff, counts, out=np.zeros_like(mu), where=seen)
-    log_ratio = np.log(np.divide(mu, counts, out=np.ones_like(mu), where=seen))
+    mu = lik.design.dot(rho.view(float).ravel()) + lik.background
+    ratio = mu * lik.inverse + lik.unseen
+    if ratio.min() <= 0:
+        return math.inf, None, None
+    diff = mu - lik.counts
+    excess = diff * lik.inverse
+    log_ratio = np.log(ratio)
     # near mu = c, c log1p(x) with x = mu/c - 1 keeps the precision that
     # cancellation in mu - c - c log(mu/c) loses when mu and c are ~1e6
     np.log1p(excess, out=log_ratio, where=excess > -0.5)
     # a setting without counts has log_ratio 0 and adds mu
-    nll = float(np.sum(diff - counts * log_ratio))
-    weights = np.divide(diff, mu, out=np.ones_like(mu), where=seen)
-    gmat = scale * (weights @ projectors.reshape(len(projectors), 16)).reshape(4, 4)
-    return nll, gmat
+    nll = float((diff - lik.counts * log_ratio).sum())
+    weights = np.divide(diff, mu, out=lik.weights, where=lik.seen)
+    return nll, weights.dot(lik.design).view(complex).reshape(4, 4), mu
 
 
 def _poisson_nll_grad(t, counts, background, scale, projectors):
@@ -345,7 +416,7 @@ def _poisson_nll_grad(t, counts, background, scale, projectors):
     gram = chol @ chol.conj().T
     tau = np.trace(gram).real
     rho = gram / tau
-    nll, gmat = _nll_grad(rho, counts, background, scale, projectors)
+    nll, gmat, _ = _nll_grad(rho, _Likelihood(counts, background, scale, _real_layout(projectors)))
     hmat = (gmat - np.trace(gmat @ rho).real * np.eye(4)) / tau
     return nll, _cholesky_to_params(2.0 * hmat @ chol)
 
@@ -358,11 +429,12 @@ def _project(mat):
     and eigenvectors.
     """
     evals, evecs = np.linalg.eigh(mat)
-    desc = evals[::-1]
-    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, 5)
-    shift = shifts[np.count_nonzero(desc > shifts) - 1]
+    # in Python floats: a cumsum's sums in its order, without numpy's cost per call
+    desc = evals.tolist()[::-1]
+    shifts = [(total - 1.0) / k for k, total in enumerate(itertools.accumulate(desc), 1)]
+    shift = shifts[sum(value > bound for value, bound in zip(desc, shifts)) - 1]
     evals = np.maximum(evals - shift, 0.0)
-    return (evecs * evals) @ evecs.conj().T, evals, evecs
+    return (evecs * evals).dot(evecs.conj().T), evals, evecs
 
 
 def _factor_coordinates(rank):
@@ -376,13 +448,48 @@ def _factor_coordinates(rank):
 
 
 _FACTOR_COORDINATES = {rank: _factor_coordinates(rank) for rank in range(1, 5)}
-# what _newton_step needs of the rank alone: the coupling 2 u_i conj(u_j)
-# [col_i == col_j], the diagonal coordinates and the index of (G - nu I)[row_j, row_i]
-_NEWTON_CONSTANTS = {
-    rank: (2.0 * (units[:, None] * units.conj()) * (cols[:, None] == cols), rows == cols,
-           (rows[None, :], rows[:, None]))
-    for rank, (rows, cols, units) in _FACTOR_COORDINATES.items()
-}
+
+
+def _newton_constants(rank):
+    """What :func:`_newton_step` needs of the rank alone: flat indices into
+    the real layout of a complex 4 x 4 matrix (32 reals) and of the (4, rank)
+    factor, and the signs that go with them, each with one more entry for
+    the multiplier of the trace constraint.
+
+    Coordinate j sits at (rows_j, cols_j) of the factor with unit u_j (1 or
+    1j), so 2 Re(u_j M[cols_j, rows_j]) = signed_j M.real[at_j], with ``at``
+    the real or the imaginary part of (cols_j, rows_j) and ``signed`` +-2
+    (0 for the multiplier).  The coupling 2 u_i conj(u_j) [col_i == col_j]
+    is real or imaginary, so Re(coupling_ij M[rows_j, rows_i]) =
+    pair_sign_ij M.real[pairs_ij]; on the border of the KKT matrix
+    ``pairs`` points past the 32 reals of M, at the coordinate weights, and
+    ``pair_sign`` is 1 on the diagonal coordinates, whose weights the trace
+    constraint sums.  ``same_row`` is the coupling's value for M = I.
+    ``scatter`` puts the coordinates into the factor's real layout: the
+    real parts of the first (size + rank) / 2, which address each entry
+    once, then the imaginary parts.
+    """
+    rows, cols, units = _FACTOR_COORDINATES[rank]
+    size = len(rows)
+    imaginary = units.imag != 0
+    diagonal = rows == cols
+    coupling = 2.0 * (units[:, None] * units.conj()) * (cols[:, None] == cols)
+    pairs = np.full((size + 1, size + 1), 32 + size)
+    pairs[:size, :size] = 2 * (rows * 4 + rows[:, None]) + (coupling.imag != 0)
+    pairs[size, :size] = pairs[:size, size] = 32 + np.arange(size)
+    pair_sign = np.zeros((size + 1, size + 1))
+    pair_sign[:size, :size] = np.where(coupling.imag != 0, -coupling.imag, coupling.real)
+    pair_sign[size, :size] = pair_sign[:size, size] = diagonal
+    same_row = np.zeros((size + 1, size + 1))
+    same_row[:size, :size] = (coupling * (rows[:, None] == rows)).real
+    return (np.append(cols, 0), np.append(2 * (cols * 4 + rows) + imaginary, 0),
+            np.append(np.where(imaginary, -2.0, 2.0), 0.0), pairs, pair_sign, same_row,
+            2 * (rows * rank + cols) + imaginary, diagonal.astype(float))
+
+
+_NEWTON_CONSTANTS = {rank: _newton_constants(rank) for rank in range(1, 5)}
+# the (c, r) of each entry of a 4 x 4 matrix, in the order of its real layout
+_OUTER_ROWS, _OUTER_COLS = np.divmod(np.arange(16), 4)
 # halvings of a Newton step; doublings of the gradient step's curvature estimate
 _NEWTON_BACKTRACKS = 12
 _GRADIENT_BACKTRACKS = 60
@@ -394,15 +501,15 @@ _MLE_TOL = 1e-9
 _NLL_RESOLUTION = 1e-12
 
 
-def _rotated_projectors(evecs, rows, cols):
-    """Entries (cols, rows) of every projector in the basis ``evecs``,
-    (evecs^dag Pi_k evecs)[c, r] = <e_c|v_k><v_k|e_r>, as a (36, len(rows))
-    array from one (36, 4) @ (4, 4) product."""
-    w = _VECTORS @ evecs.conj()
-    return w[:, cols] * w[:, rows].conj()
+def _rotated_projectors(evecs):
+    """Every projector in the basis ``evecs``, (evecs^dag Pi_k evecs)[c, r] =
+    <e_c|v_k><v_k|e_r>, in the real layout: a (36, 32) array from one
+    (36, 4) x (4, 4) product."""
+    w = _VECTORS.dot(evecs.conj())
+    return (w.take(_OUTER_ROWS, axis=1) * w.conj().take(_OUTER_COLS, axis=1)).view(float)
 
 
-def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
+def _newton_step(rho, evals, evecs, mu, nll, lik: _Likelihood):
     """Newton step over the density matrices of the rank of ``rho``.
 
     Projected gradient alone converges slowly where the optimum is rank
@@ -413,61 +520,64 @@ def _newton_step(rho, evals, evecs, gmat, nll, counts, background, scale):
     model is the Hessian of the likelihood through the first-order change of
     rho, plus Tr((G - nu I) dA dA^dag) from its second-order change
     (nu = Tr(G rho), the multiplier of the unit trace), solved with the trace
-    held fixed to first order.  Returns the new (rho, nll, G, r) after an
-    Armijo backtrack along the step, or None if the step does not descend.
+    held fixed to first order.
+
+    ``mu`` is rho's from its last evaluation, and the record's constants
+    come from ``lik``.  The rotated projectors (:func:`_rotated_projectors`)
+    give the rotated gradient evecs^dag G evecs and, by the flat indices of
+    :func:`_newton_constants`, the Jacobian of mu in the coordinates of A;
+    the system is gathered, and the step scattered into A, by the same
+    indices.  Returns the new (rho, nll, G, mu, r) after an Armijo
+    backtrack along the step, or None if the step does not descend.
     """
     evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > 0))
-    rows, cols, units = _FACTOR_COORDINATES[rank]
-    coupling, diagonal, shifted_index = _NEWTON_CONSTANTS[rank]
-    grot = evecs.conj().T @ gmat @ evecs
-    nu = float(evals @ grot.diagonal().real)
-    weight = 2.0 * np.sqrt(evals[cols])
-    # d rho / d theta_j = sqrt(evals_col) (u e_{row,col} + conj(u) e_{col,row})
-    jac = scale * weight * (units * _rotated_projectors(evecs, rows, cols)).real
-    grad = weight * (units * grot[cols, rows]).real
-    trace = np.where(diagonal, weight, 0.0)
-    mu = _expected_counts(rho, background, scale)
-    poisson = np.divide(counts, mu**2, out=np.zeros_like(mu), where=counts > 0)
-    # Tr((G - nu I) dA dA^dag) couples the coordinates of one column of A
-    second = (coupling * (grot - nu * np.eye(4))[shifted_index]).real
-    hess = jac.T @ (poisson[:, None] * jac) + second
-    size = len(rows)
-    kkt = np.zeros((size + 1, size + 1))
-    kkt[:size, :size] = hess
-    kkt[:size, size] = kkt[size, :size] = trace
+    cols, at, signed, pairs, pair_sign, same_row, scatter, diagonal = _NEWTON_CONSTANTS[rank]
+    rotated = _rotated_projectors(evecs)
+    c_over_mu = np.divide(lik.counts, mu, out=lik.c_over_mu, where=lik.seen)
+    dnll = 1.0 - c_over_mu  # d nll / d mu, whose derivative c / mu^2 is (c / mu)^2 / c
+    grot = lik.scale * dnll.dot(rotated)  # evecs^dag G evecs in the real layout
+    nu = float(evals.dot(grot[::10]))  # grot[::10] is the real diagonal
+    roots = np.sqrt(evals.take(cols))
+    # d rho / d theta_j = sqrt(evals_col) (u e_{row,col} + conj(u) e_{col,row}),
+    # and weight_j = 2 sqrt(evals_col) on the diagonal coordinates, where u = 1
+    weight = signed * roots
+    jac = rotated.take(at, axis=1) * (lik.scale * weight)
+    grad = dnll.dot(jac)
+    # Tr((G - nu I) dA dA^dag) couples the coordinates of one column of A; the
+    # border holds the trace constraint
+    second = np.concatenate((grot, weight)).take(pairs) * pair_sign - nu * same_row
+    kkt = (jac.T * (c_over_mu * c_over_mu * lik.inverse)).dot(jac) + second
     try:
-        theta = np.linalg.solve(kkt, np.append(-grad, 0.0))[:size]
+        theta = np.linalg.solve(kkt, -grad)
     except np.linalg.LinAlgError:
         return None
-    slope = float(grad @ theta)
+    slope = float(grad.dot(theta))
     if not slope < 0:
         return None
-    factor = evecs[:, :rank] * np.sqrt(evals[:rank])
-    # the first coordinates address each of the (size + rank) / 2 entries of
-    # A once, the rest each off-diagonal entry once more
-    entries = (size + rank) // 2
-    step_dir = np.zeros((4, rank), dtype=complex)
-    step_dir[rows[:entries], cols[:entries]] = theta[:entries]
-    step_dir[rows[entries:], cols[entries:]] += 1j * theta[entries:]
-    step_dir = evecs @ step_dir
+    # A0 and the step, scattered into the real layout of A
+    factor = np.zeros(8 * rank)
+    factor[scatter] = roots[:-1] * diagonal
+    step_dir = np.zeros(8 * rank)
+    step_dir[scatter] = theta[:-1]
     slack = _NLL_RESOLUTION * (1.0 + nll)
     step = 1.0
     for _ in range(_NEWTON_BACKTRACKS):
-        trial = factor + step * step_dir
-        new = trial @ trial.conj().T
-        new /= np.trace(new).real
-        new_nll, new_gmat = _nll_grad(new, counts, background, scale)
+        trial = evecs.dot((factor + step * step_dir).view(complex).reshape(4, rank))
+        new = trial.dot(trial.conj().T)
+        new /= np.vdot(trial, trial).real
+        new_nll, new_gmat, new_mu = _nll_grad(new, lik)
         if new_nll <= nll + 1e-4 * step * slope + slack:
-            return new, new_nll, new_gmat, rank
+            return new, new_nll, new_gmat, new_mu, rank
         step *= 0.5
     return None
 
 
 def _kkt_gap(rho, gmat) -> float:
     """Tr(G rho) - lambda_min(G): zero exactly at the constrained optimum,
-    and by convexity an upper bound on the NLL above its minimum."""
-    return float(np.trace(gmat @ rho).real - np.linalg.eigvalsh(gmat)[0])
+    and by convexity an upper bound on the NLL above its minimum.  For a
+    Hermitian G, Tr(G rho) is the real part of vdot(G, rho)."""
+    return float(np.vdot(gmat, rho).real - np.linalg.eigvalsh(gmat)[0])
 
 
 @dataclass
@@ -507,6 +617,13 @@ def mle_reconstruct(
     count (at least 1).  Non-convergence returns the last iterate with
     ``converged`` False and a warning.
 
+    The record's constants (:class:`_Likelihood`: the settings with counts,
+    the reciprocal counts, the ``where=`` buffers and the projectors as a
+    real (36, 32) matrix times the scale) are formed once, so that each
+    evaluation of the likelihood (:func:`_nll_grad`) takes mu and G as one
+    real product each; the iterate carries the mu of its last evaluation
+    into the next Newton step and into the final log-likelihood.
+
     Parameters
     ----------
     record : TomographyRecord
@@ -517,19 +634,20 @@ def mle_reconstruct(
     """
     background = record.accidentals()
     counts = record.coincidences
-    scale = (counts - background).sum() / 9.0
-    start = np.eye(4, dtype=complex) / 4.0 if init is None else init.matrix
-    if scale <= 0:  # no net signal: the raw counts set the scale, and I/4 the start
+    net = counts - background
+    scale = net.sum() / 9.0
+    if scale > 0:
+        start = _dual_frame_estimate(net) if init is None else init.matrix
+    else:  # no net signal: the raw counts set the scale, and I/4 the start
         scale = max(counts.sum(), 1.0) / 9.0
-    elif init is None:
-        start = _dual_frame_estimate(record)
-    args = (counts, background, scale)
+        start = np.eye(4, dtype=complex) / 4.0 if init is None else init.matrix
+    lik = _Likelihood(counts, background, scale)
     rho, evals, evecs = _project(start)
-    nll, gmat = _nll_grad(rho, *args)
+    nll, gmat, mu = _nll_grad(rho, lik)
     if gmat is None:  # a setting with counts has no expected counts: mix in I/4
         rho = 0.99 * rho + 0.0025 * np.eye(4)
         evals = 0.99 * evals + 0.0025
-        nll, gmat = _nll_grad(rho, *args)
+        nll, gmat, mu = _nll_grad(rho, lik)
     tol_abs = _MLE_TOL * max(counts.sum(), 1.0)  # a record without counts is optimal anywhere
     lipschitz = scale
     gap = _kkt_gap(rho, gmat)
@@ -537,9 +655,9 @@ def mle_reconstruct(
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        step = _newton_step(rho, evals, evecs, gmat, nll, *args) if try_newton else None
+        step = _newton_step(rho, evals, evecs, mu, nll, lik) if try_newton else None
         if step is not None:
-            rho, nll, gmat, rank = step
+            rho, nll, gmat, mu, rank = step
             new_gap = _kkt_gap(rho, gmat)
             try_newton = new_gap <= 0.5 * gap
             gap = new_gap
@@ -553,7 +671,7 @@ def mle_reconstruct(
             lipschitz *= 0.5  # the step may grow again once past a steep region
             for _ in range(_GRADIENT_BACKTRACKS):
                 new, evals, evecs = _project(rho - gmat / lipschitz)
-                new_nll, new_gmat = _nll_grad(new, *args)
+                new_nll, new_gmat, new_mu = _nll_grad(new, lik)
                 diff = new - rho
                 if new_nll <= (nll + np.vdot(gmat, diff).real
                                + 0.5 * lipschitz * np.vdot(diff, diff).real + slack):
@@ -561,7 +679,7 @@ def mle_reconstruct(
                 lipschitz *= 2.0
             if not new_nll <= nll + slack:  # no descent
                 break
-            rho, nll, gmat = new, new_nll, new_gmat
+            rho, nll, gmat, mu = new, new_nll, new_gmat, new_mu
             gap = _kkt_gap(rho, gmat)
             try_newton = True
         if gap <= tol_abs:
@@ -571,10 +689,10 @@ def mle_reconstruct(
         warnings.warn(
             f"MLE did not converge after {iterations} iterations: KKT gap {gap:.3g} "
             f"above {tol_abs:.3g}", stacklevel=2)
-    mu = np.maximum(_expected_counts(rho, background, scale), 1e-300)
+    mu = np.maximum(mu, 1e-300)
     return MleResult(
         rho=DensityMatrix4(0.5 * (rho + rho.conj().T), noise_weight=None),
-        log_likelihood=float(np.sum(counts * np.log(mu) - mu)),
+        log_likelihood=float((counts * np.log(mu) - mu).sum()),
         iterations=iterations,
         converged=converged,
         gap=gap,

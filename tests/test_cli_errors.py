@@ -7,7 +7,8 @@ carry none.  ``tomo --out``, ``skyrmion --density-out`` and ``converge
 --out`` open their file before the work, so a path that cannot be written
 fails before anything is printed or computed, but after the checks of
 charges, weight and resolutions (and, for ``run_convergence``, of the waist
-and the window), so rejected input leaves no file.
+and the window; for ``tomo``, after its record is simulated from the source),
+so rejected input leaves no file.
 """
 
 import re
@@ -41,8 +42,10 @@ def run_error(capsys, argv):
     # pair rate x window x duration beyond ~9e15 rounds the contrast ceiling to 1
     ("values = 0.8\npipeline = tomographic\npair_rate = 1e24",
      "pair rate x window x duration = 2.5e+16 leaves no quantum contrast above 1"),
+    ("values = 0.8\npipeline = tomographic\nwindow = 1e-300\npair_rate = 1e-300",
+     "pair rate x window x duration = 1.0e-600 underflows double precision"),
 ], ids=["sweep", "values", "empty-values", "missing-stop", "zero-step", "no-points",
-        "pipeline", "no-contrast-headroom"])
+        "pipeline", "no-contrast-headroom", "underflowing-source"])
 def test_config_error_names_its_line(tmp_path, capsys, lines, message):
     path = tmp_path / "s.cfg"
     path.write_text(BASE + lines + "\n")
@@ -60,6 +63,16 @@ def test_config_error_names_its_line(tmp_path, capsys, lines, message):
 ], ids=["state-spec", "resolutions", "no-resolutions", "no-contrast-headroom"])
 def test_flag_error(capsys, argv, message):
     assert run_error(capsys, argv) == message
+
+
+def test_underflowing_source_writes_no_sweep_table(tmp_path, capsys):
+    path = tmp_path / "s.cfg"
+    path.write_text(BASE + "values = 0.8\npipeline = tomographic\nwindow = 1e-300\n"
+                    "pair_rate = 1e-300\n")
+    out = tmp_path / "results"
+    assert run_error(capsys, ["sweep", "--config", str(path), "--out", str(out)]) == (
+        "pair rate x window x duration = 1.0e-600 underflows double precision")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_seed_flag_overrides_the_config_seed(tmp_path, capsys):
@@ -111,8 +124,21 @@ def test_converge_unwritable_output_fails_before_the_scan(tmp_path, capsys, monk
      "grid spacing "),
     (["skyrmion", "--ell1", "0", "--ell2", "1", "--half-width", "1e308", "--density-out"],
      "grid spacing "),
+    # a source whose pair rate x window x duration a double cannot hold, or whose
+    # contrast ceiling rounds to 1
+    (["tomo", "--ell1", "0", "--ell2", "1", "--pair-rate", "1e-200", "--window", "1e-200",
+      "--out"], "pair rate x window x duration = 1.0e-400 underflows double precision"),
+    (["tomo", "--ell1", "0", "--ell2", "1", "--pair-rate", "1e300", "--window", "1e-300",
+      "--duration", "1e-300", "--out"],
+     "pair rate x window x duration = 1.0e-300 underflows double precision in window x duration"),
+    (["tomo", "--ell1", "0", "--ell2", "1", "--pair-rate", "1e-300", "--window", "1e-10",
+      "--duration", "1e-10", "--out"],
+     "pair rate x window x duration = 1.0e-320 underflows double precision"),
+    (["tomo", "--ell1", "0", "--ell2", "1", "--pair-rate", "1e24", "--out"],
+     "pair rate x window x duration = 2.5e+16 leaves no quantum contrast above 1"),
 ], ids=["skyrmion-p", "converge-p", "converge-no-resolutions", "skyrmion-charge",
-        "converge-charge", "tiny-waist", "huge-waist", "huge-window"])
+        "converge-charge", "tiny-waist", "huge-waist", "huge-window", "tomo-underflow",
+        "tomo-window-duration-underflow", "tomo-subnormal", "tomo-no-headroom"])
 def test_rejected_input_creates_no_output(tmp_path, capsys, argv, message):
     # weight, charge, resolution and grid rules run before the output file is created
     out = tmp_path / "f.csv"

@@ -32,11 +32,14 @@ from qskyrmion import (
     simulate_counts,
     witness_report,
 )
-from qskyrmion import tomography
+from qskyrmion import cli, tomography
 from qskyrmion.stokesfield import _PAULI
 from qskyrmion.tomography import (
     _FACTOR_COORDINATES,
+    _NEWTON_CONSTANTS,
+    _Likelihood,
     _cholesky_to_params,
+    _nll_grad,
     _params_to_cholesky,
     _poisson_nll_grad,
     _PROJECTORS,
@@ -232,6 +235,19 @@ class TestAverageQuantumContrast:
         with pytest.raises(ValueError, match="target contrast must be finite and exceed 1"):
             noise_rate_for_contrast(target, pair_rate=1e5, window=WINDOW)
 
+    @pytest.mark.parametrize("source", [
+        dict(pair_rate=1e-200, window=1e-200),  # the product underflows to 0
+        dict(pair_rate=1e300, window=1e-300, duration=1e-300),  # window x duration does
+        dict(pair_rate=1e-300, window=1e-10, duration=1e-10),  # a subnormal product
+        dict(pair_rate=1e24, window=25e-9),  # the ceiling rounds to 1
+        dict(pair_rate=1e-160, window=1e80, duration=1e80),  # the noise relation underflows
+        dict(pair_rate=1e300, window=1e-300),  # the noise relation overflows
+    ], ids=["underflow", "span-underflow", "subnormal", "no-headroom", "relation-underflow",
+            "relation-overflow"])
+    def test_noise_rate_names_a_source_product_out_of_range(self, source):
+        with pytest.raises(ValueError, match=r"^pair rate x window x duration = "):
+            noise_rate_for_contrast(1.5, **source)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["pair_rate", "window", "duration"])
     def test_noise_rate_rejects_a_source_not_positive_and_finite(self, name, value):
@@ -365,19 +381,87 @@ class TestMleReconstruct:
             worst = max(worst, np.linalg.norm(grad - grad_fd) / np.linalg.norm(grad_fd))
         assert worst < 1e-6
 
+    @given(parts=arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           rank=st.integers(1, 4), log_scale=st.floats(-1.0, 6.0),
+           factors=st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.1, 1.7, 3.0, 40.0]),
+                            min_size=36, max_size=36),
+           background=arrays(np.float64, 36, elements=st.floats(0.0, 1e3)))
+    @settings(max_examples=200, deadline=None)
+    def test_likelihood_matches_a_complex_evaluation(self, parts, rank, log_scale, factors,
+                                                     background):
+        # counts of 0 (no log term), near mu (log1p) and above 2 mu (the log branch);
+        # each sum is compared relative to the size of what it adds up
+        g = (parts[0] + 1j * parts[1])[:, :rank]
+        gram = g @ g.conj().T
+        assume(np.trace(gram).real > 1e-6)
+        rho = gram / np.trace(gram).real
+        scale = 10.0 ** log_scale
+        mu = scale * np.einsum("kij,ji->k", _PROJECTORS, rho).real + background
+        counts = np.round(mu * np.array(factors))
+        seen = counts > 0
+        assume(np.all(mu[seen] > 1e-3 * scale))
+        ratio = np.divide(mu, counts, out=np.ones(36), where=seen)
+        terms = np.where(seen, mu - counts - counts * np.log(ratio), mu)
+        weights = 1.0 - np.divide(counts, mu, out=np.zeros(36), where=seen)
+        gmat = scale * np.einsum("k,kij->ij", weights, _PROJECTORS)
+        nll, got, got_mu = _nll_grad(rho, _Likelihood(counts, background, scale))
+        assert abs(nll - terms.sum()) <= 1e-12 * (mu + counts).sum()
+        assert np.linalg.norm(got - gmat) <= 1e-12 * scale * np.abs(weights).sum()
+        np.testing.assert_allclose(got_mu, mu, rtol=0, atol=1e-12 * (scale + background.max()))
+
+    def test_likelihood_is_infinite_where_a_setting_with_counts_expects_none(self):
+        # rho = |l1, P1><l1, P1| gives (z-, z-) no probability; without background
+        # its one count makes the likelihood infinite
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        counts = np.zeros(36)
+        counts[7] = 1.0
+        assert _nll_grad(rho, _Likelihood(counts, np.zeros(36), 1.0)) == (math.inf, None, None)
+
     def test_projectors_are_outer_products_of_the_vectors(self):
         outer = np.einsum("ki,kj->kij", _VECTORS, _VECTORS.conj())
         np.testing.assert_allclose(outer, _PROJECTORS, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_vector_jacobian_matches_rotated_projectors(self, rng, rank):
-        rows, cols, _ = _FACTOR_COORDINATES[rank]
+        # the real layout and the flat indices of the Newton step gather what
+        # 2-D indexing of the rotated projectors and of a Hermitian matrix gives
+        rows, cols, units = _FACTOR_COORDINATES[rank]
+        size = len(rows)
+        _, at, signed, pairs, pair_sign, same_row, scatter, diagonal = _NEWTON_CONSTANTS[rank]
+        coupling = 2.0 * (units[:, None] * units.conj()) * (cols[:, None] == cols)
+        entries = (size + rank) // 2
         for _ in range(20):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             evecs = np.linalg.qr(g)[0]
             rotated = evecs.conj().T @ _PROJECTORS @ evecs
-            np.testing.assert_allclose(_rotated_projectors(evecs, rows, cols),
-                                       rotated[:, cols, rows], rtol=0, atol=1e-15)
+            real = _rotated_projectors(evecs)
+            np.testing.assert_allclose(real.view(complex).reshape(36, 4, 4), rotated,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(real.take(at[:size], axis=1) * signed[:size],
+                                          2.0 * (units * real.view(complex).reshape(36, 4, 4)
+                                                 [:, cols, rows]).real)
+            # the KKT matrix: the coupling of the second-order term, and on its
+            # border the weights of the diagonal coordinates
+            herm = g + g.conj().T
+            weight = rng.normal(size=size + 1)
+            gathered = np.concatenate((herm.view(float).ravel(), weight)).take(pairs) * pair_sign
+            np.testing.assert_array_equal(gathered[:size, :size],
+                                          (coupling * herm[rows[None, :], rows[:, None]]).real)
+            np.testing.assert_array_equal(gathered[size, :size], weight[:size] * (rows == cols))
+            np.testing.assert_array_equal(gathered[:size, size], weight[:size] * (rows == cols))
+            assert gathered[size, size] == 0.0 and signed[size] == 0.0
+            np.testing.assert_array_equal(
+                same_row[:size, :size], (coupling * (rows[None, :] == rows[:, None])).real)
+            assert not same_row[size].any() and not same_row[:, size].any()
+            np.testing.assert_array_equal(diagonal, rows == cols)
+            theta = rng.normal(size=size)
+            expected = np.zeros((4, rank), dtype=complex)
+            expected[rows[:entries], cols[:entries]] = theta[:entries]
+            expected[rows[entries:], cols[entries:]] += 1j * theta[entries:]
+            flat = np.zeros(8 * rank)
+            flat[scatter] = theta
+            np.testing.assert_array_equal(flat.view(complex).reshape(4, rank), expected)
 
     def test_eigendecomposition_budget(self, monkeypatch):
         # seeded records of (0, 2, delta = 0.4) at the settings of a tomographic
@@ -402,6 +486,27 @@ class TestMleReconstruct:
         for rec in records:
             assert mle_reconstruct(rec).converged
         assert len(calls) / len(records) <= 4.0
+
+    def test_readme_tomographic_sweeps_keep_their_iterations(self, tmp_path, monkeypatch):
+        # the README config as a tomographic sweep at 128^2, Poisson seed 7: the
+        # iterations of every point, the same on every BLAS kernel tried
+        path = tmp_path / "readme.cfg"
+        path.write_text("ell1 = 0\nell2 = 3\ndelta = 0.0\nsweep = p\nstart = 1.0\nstop = 0.0\n"
+                        "step = -0.05\npipeline = tomographic\nsamples = 128\nseed = 7\n")
+        cfg = cli.load_config(str(path))
+        estimates = []
+
+        def recording_mle(record):
+            estimates.append(mle_reconstruct(record))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "mle_reconstruct", recording_mle)
+        for deterministic, expected in [(False, [5, 4, 3, 3, 3, 3] + [2] * 12 + [1, 1, 1]),
+                                        (True, [1] * 21)]:
+            estimates.clear()
+            cli.run_sweep(cfg, deterministic=deterministic)
+            assert [estimate.iterations for estimate in estimates] == expected
+            assert all(estimate.converged for estimate in estimates)
 
     def test_cholesky_parametrization_roundtrip(self, rng):
         t = rng.normal(size=16)
