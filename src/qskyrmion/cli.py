@@ -624,6 +624,10 @@ def _cmd_sweep(args) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     if cfg.out_dir is not None:
+        # the window's and a tomographic source's rules run before the directory is made
+        cfg.grid()
+        if cfg.pipeline == "tomographic":
+            _contrast_ceiling(cfg.pair_rate, cfg.window, cfg.duration)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg, deterministic=args.deterministic)

@@ -18,6 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _workspace
 from .biphoton import HybridStateSpec
 
 # log of the smallest positive double; below this eta, in waist units, underflows
@@ -162,13 +163,25 @@ def check_charge(ell: int) -> int:
     return la
 
 
-def _log_envelopes(r: np.ndarray, waist: float, *ells: int) -> tuple[np.ndarray, ...]:
+def _log_envelopes(r: np.ndarray, waist: float, *ells: int, out=None) -> tuple[np.ndarray, ...]:
     """lr = log(sqrt(2) r / waist), -inf at r = 0, then log |LG_ell(r)| of each
-    of ``ells`` from that one log of r, stable far beyond underflow."""
+    of ``ells`` from that one log of r, stable far beyond underflow, written
+    into ``out`` (one array of r's shape each) when it is given."""
+    las = [check_charge(ell) for ell in ells]
+    lr, *logs = [np.empty(r.shape) for _ in range(len(ells) + 1)] if out is None else out
     with np.errstate(divide="ignore"):
-        lr = np.log(np.sqrt(2.0) * r / waist)
-    return lr, *(_LOG_NORM[la] - math.log(waist) + (la * lr if la else 0.0) - (r / waist) ** 2
-                 for la in map(check_charge, ells))
+        np.log(np.divide(np.multiply(np.sqrt(2.0), r, out=lr), waist, out=lr), out=lr)
+    with _workspace.frame() as take:
+        gauss = take(r.shape)
+        np.square(np.divide(r, waist, out=gauss), out=gauss)
+        for la, log in zip(las, logs):
+            base = _LOG_NORM[la] - math.log(waist)
+            if la:
+                np.add(base, np.multiply(la, lr, out=log), out=log)
+                np.subtract(log, gauss, out=log)
+            else:
+                np.subtract(base, gauss, out=log)
+    return lr, *logs
 
 
 def check_waist(waist: float) -> None:
@@ -177,8 +190,10 @@ def check_waist(waist: float) -> None:
         raise ValueError(f"waist must be positive and finite, got {waist}")
 
 
-def _envelope_pair(state: HybridStateSpec, r: np.ndarray, waist: float):
-    """|a|^2, |b|^2, 2|a||b| and the underflow mask at radii ``r``.
+def _envelope_pair(state: HybridStateSpec, r: np.ndarray, waist: float, out=None):
+    """|a|^2, |b|^2, 2|a||b| and the underflow mask at radii ``r``, written
+    into ``out`` (three float arrays and a boolean one, of r's shape) when it
+    is given; the intermediates are work arrays (:mod:`._workspace`).
 
     All three come from d = log(|LG_ell1|/|LG_ell2|) = (c1 - c2) + (|ell1| - |ell2|) lr, with
     lr = log(sqrt(2) r/w) and c the normalization constants, in which the Gaussian cancels
@@ -188,13 +203,30 @@ def _envelope_pair(state: HybridStateSpec, r: np.ndarray, waist: float):
     mask is True where eta w underflows, as at r = 0 between two vortex charges: log w sits
     on the threshold's side, so the mask, like the weights, depends on r/w alone.
     """
-    lr, l1, l2 = _log_envelopes(r, waist, state.ell1, state.ell2)
+    if out is None:
+        out = np.empty(r.shape), np.empty(r.shape), np.empty(r.shape), np.empty(r.shape, bool)
+    a2, b2, ab, mask = out
     la1, la2 = abs(state.ell1), abs(state.ell2)
-    d = _LOG_NORM[la1] - _LOG_NORM[la2] + (la1 - la2) * lr if la1 != la2 else np.zeros_like(r)
-    t = np.exp(-2.0 * np.abs(d))
-    big, small, first = 1.0 / (1.0 + t), t / (1.0 + t), d >= 0
-    mask = ~(np.maximum(l1, l2) + 0.5 * np.log1p(t) >= _LOG_TINY - math.log(waist))
-    return np.where(first, big, small), np.where(first, small, big), 2.0 * np.sqrt(t) * big, mask
+    with _workspace.frame() as take:
+        d, l1, l2, big = (take(r.shape) for _ in range(4))
+        first = take(r.shape, bool)
+        _log_envelopes(r, waist, state.ell1, state.ell2, out=(d, l1, l2))
+        if la1 != la2:  # d from lr in place
+            np.add(_LOG_NORM[la1] - _LOG_NORM[la2], np.multiply(la1 - la2, d, out=d), out=d)
+        else:
+            d.fill(0.0)
+        np.greater_equal(d, 0, out=first)
+        t = np.exp(np.multiply(-2.0, np.abs(d, out=d), out=d), out=d)
+        np.maximum(l1, l2, out=l1)
+        np.add(l1, np.multiply(0.5, np.log1p(t, out=l2), out=l2), out=l1)
+        np.logical_not(np.greater_equal(l1, _LOG_TINY - math.log(waist), out=mask), out=mask)
+        small = np.divide(t, np.add(1.0, t, out=big), out=l1)
+        np.divide(1.0, big, out=big)
+        np.multiply(np.multiply(2.0, np.sqrt(t, out=l2), out=l2), big, out=ab)
+        for weight, at_first, elsewhere in ((a2, big, small), (b2, small, big)):
+            np.copyto(weight, elsewhere)
+            np.copyto(weight, at_first, where=first)
+    return a2, b2, ab, mask
 
 
 def coeff_field(
@@ -236,7 +268,7 @@ def coeff_field(
                       state=state, waist=waist)
 
 
-def _coords_block(state: HybridStateSpec, grid: GridSpec, waist: float, halo: int):
+def _coords_block(state: HybridStateSpec, grid: GridSpec, waist: float, halo: int, out=None):
     """The planes ``[:, lo:, lo:]``, lo = n//2 - ``halo``, of the homogeneous
     coordinates :func:`coeff_field` writes, and the whole (n, n) mask.
 
@@ -247,22 +279,34 @@ def _coords_block(state: HybridStateSpec, grid: GridSpec, waist: float, halo: in
     :func:`_reflection_signs` at the exact mirror images that the
     antisymmetric :meth:`GridSpec.axis` holds; ``halo = n//2`` is the whole
     grid.  So a smaller block holds the same bits as that part of the whole
-    grid's planes, and the rest of the grid is never formed.
+    grid's planes, and the rest of the grid is never formed.  The block is
+    written into ``out`` when it is given, else into a new array; the mask
+    is always new.  The quadrant's radii, angles and envelope intermediates
+    are work arrays (:mod:`._workspace`), of which none is returned.
     """
     check_waist(waist)
     n = grid.samples_per_axis
     q = grid.axis()[n // 2 :]
     qx, qy = q[:, None], q[None, :]
-    a2, b2, ab, qmask = _envelope_pair(state, np.hypot(qx, qy), waist)
-    angle = state.delta_ell * np.arctan2(qy, qx)
-    planes = (a2, b2, ab * np.cos(angle), -(ab * np.sin(angle)))
-    size = len(q) + halo
-    block = np.empty((4, size, size))
-    for plane, out, sign_x, sign_y in zip(planes, block, *_reflection_signs(state)):
-        plane[qmask] = 0.0
-        _unfold(plane, out, sign_x, sign_y, odd=n % 2)
-    mask = np.empty((n, n), dtype=bool)
-    _unfold(qmask, mask)
+    size, shape = len(q) + halo, (len(q), len(q))
+    block = np.empty((4, size, size)) if out is None else out
+    quadrant = block[:, halo:, halo:]
+    with _workspace.frame() as take:
+        angle, qmask = take(shape), take(shape, bool)
+        # 2|a||b| goes to the n_x plane, which then takes its product with the cosine
+        ab = quadrant[2]
+        _envelope_pair(state, np.hypot(qx, qy, out=angle), waist,
+                       out=(quadrant[0], quadrant[1], ab, qmask))
+        np.multiply(state.delta_ell, np.arctan2(qy, qx, out=angle), out=angle)
+        cos = np.cos(angle, out=take(shape))
+        np.negative(np.multiply(ab, np.sin(angle, out=angle), out=angle), out=quadrant[3])
+        np.multiply(ab, cos, out=ab)
+        for plane, sign_x, sign_y in zip(block, *_reflection_signs(state)):
+            quarter = plane[halo:, halo:]
+            quarter[qmask] = 0.0
+            _unfold(quarter, plane, sign_x, sign_y, odd=n % 2)
+        mask = np.empty((n, n), dtype=bool)
+        _unfold(qmask, mask)
     return block, mask
 
 
@@ -280,16 +324,19 @@ def _unfold(quadrant: np.ndarray, out: np.ndarray, sign_x: float = 1.0,
     """Fill ``out`` from ``quadrant``, the points x, y >= 0 of an (n, n) grid
     (its first row and column are x = 0 and y = 0 when n is odd), which go
     to the last rows and columns of ``out``: the whole grid, or a block of
-    its last rows and columns with ``odd`` = n % 2.  Each row before the
-    quadrant is the row of its mirror image x -> -x times ``sign_x``, then
-    each column before it the column of its mirror image y -> -y times
-    ``sign_y``.  A sign flip is 0 - x, so masked zeros stay +0.0."""
+    its last rows and columns with ``odd`` = n % 2.  ``quadrant`` may be that
+    part of ``out`` itself.  Each column before the quadrant is the column of
+    its mirror image y -> -y times ``sign_y``, then each row before it the
+    row of its mirror image x -> -x times ``sign_x``; whole rows are copied
+    last, as they need no temporary copy of memory that they overwrite.  A
+    sign flip is 0 - x, so masked zeros stay +0.0."""
     odd = out.shape[0] % 2 if odd is None else odd
     half = out.shape[0] - quadrant.shape[0]
-    out[half:, half:] = quadrant
-    out[:half, half:] = quadrant[odd : odd + half][::-1]
-    if sign_x < 0:
-        np.subtract(0.0, out[:half, half:], out=out[:half, half:])
-    out[:, :half] = out[:, half + odd : 2 * half + odd][:, ::-1]
+    lower = out[half:]
+    lower[:, half:] = quadrant
+    lower[:, :half] = quadrant[:, odd : odd + half][:, ::-1]
     if sign_y < 0:
-        np.subtract(0.0, out[:, :half], out=out[:, :half])
+        np.subtract(0.0, lower[:, :half], out=lower[:, :half])
+    out[:half] = out[half + odd : 2 * half + odd][::-1]
+    if sign_x < 0:
+        np.subtract(0.0, out[:half], out=out[:half])

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workspace
 from .biphoton import DensityMatrix4, _as_matrix
 from .lgmodes import CoeffField, GridSpec
 
@@ -195,14 +196,25 @@ def normalize_stokes(field: StokesField) -> UnitVectorField:
 
 
 def _vector_norm(s1, s2, s3) -> np.ndarray:
-    return np.sqrt(s1**2 + s2**2 + s3**2)
+    """sqrt(s1^2 + s2^2 + s3^2) in a new array, the squares summed in that
+    order; the second term of each sum is a work array (:mod:`._workspace`)."""
+    norm = np.square(s1)
+    with _workspace.frame() as take:
+        term = take(norm.shape)
+        np.add(norm, np.square(s2, out=term), out=norm)
+        np.add(norm, np.square(s3, out=term), out=norm)
+    return np.sqrt(norm, out=norm)
 
 
-def _unit_planes(components, norm: np.ndarray, mask: np.ndarray):
+def _unit_planes(components, norm: np.ndarray, mask: np.ndarray, out=None):
     """The (3, ...) planes of (S1, S2, S3) / ``norm``, zero on the degenerate
-    set (``norm`` < DEGENERACY_EPS, or ``mask``), and that set."""
+    set (``norm`` < DEGENERACY_EPS, or ``mask``), and that set.  The planes
+    are written into ``out`` when it is given, which may be ``components``
+    itself, else into a new array."""
     degenerate = (norm < DEGENERACY_EPS) | mask
-    planes, keep = np.zeros((3,) + norm.shape), ~degenerate
+    planes = np.empty((3,) + norm.shape) if out is None else out
+    keep = ~degenerate
     for component, plane in zip(components, planes):
         np.divide(component, norm, out=plane, where=keep)
+        np.copyto(plane, 0.0, where=degenerate)
     return planes, degenerate

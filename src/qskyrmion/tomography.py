@@ -410,13 +410,17 @@ def _poisson_nll_grad(t, counts, background, scale, projectors):
     Cholesky parametrization rho = L L^dag / Tr(L L^dag).
 
     By the chain rule the gradient is (2/tau)(G - Tr(G rho) I) L, with G the
-    gradient in rho of :func:`_nll_grad` and tau = Tr(L L^dag).
+    gradient in rho of :func:`_nll_grad` and tau = Tr(L L^dag).  Where a
+    setting with counts expects none, the value is infinite and the
+    gradient zero, so that an optimizer probing there backs off.
     """
     chol = _params_to_cholesky(t)
     gram = chol @ chol.conj().T
     tau = np.trace(gram).real
     rho = gram / tau
     nll, gmat, _ = _nll_grad(rho, _Likelihood(counts, background, scale, _real_layout(projectors)))
+    if gmat is None:
+        return math.inf, np.zeros(16)
     hmat = (gmat - np.trace(gmat @ rho).real * np.eye(4)) / tau
     return nll, _cholesky_to_params(2.0 * hmat @ chol)
 

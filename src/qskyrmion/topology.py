@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _workspace
 from .biphoton import HybridStateSpec, _check_weight, apply_isotropic_noise, pure_state
 from .lgmodes import (
     CoeffField,
@@ -83,13 +84,12 @@ class ConvergenceRow:
     residual: float
 
 
-def _diff(f: np.ndarray, spacing: float) -> np.ndarray:
-    """Central differences of STENCIL_ORDER along axis 0, narrowing the
-    stencil toward the edges and finishing with one-sided second-order
-    differences at the boundary rows themselves."""
+def _diff(f: np.ndarray, spacing: float, out: np.ndarray) -> np.ndarray:
+    """Central differences of STENCIL_ORDER along axis 0, into ``out``,
+    narrowing the stencil toward the edges and finishing with one-sided
+    second-order differences at the boundary rows themselves."""
     n = f.shape[0]
     half = STENCIL_ORDER // 2
-    out = np.empty_like(f)
     weights = np.asarray(_CENTRAL_WEIGHTS[STENCIL_ORDER])
     stencil = np.concatenate([-weights[::-1], [0.0], weights])
     np.einsum(
@@ -130,21 +130,36 @@ def skyrmion_density(field: UnitVectorField) -> np.ndarray:
     return _density(np.moveaxis(field.vectors, -1, 0), field.mask, field.grid.spacing)
 
 
-def _density(planes: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
+def _density(planes: np.ndarray, mask: np.ndarray, h: float, out=None) -> np.ndarray:
     """S . (dS/dx x dS/dy) over the grid or block of ``mask``, zeroed on its
     stencil footprint, from a texture's (3, m, m) component planes at spacing
-    ``h``.  Each derivative is one sliding-window contraction (:func:`_diff`),
-    and the triple product is written out over the planes, without np.cross."""
+    ``h``, written into ``out`` when it is given, else into a new array.
+    Each derivative is one sliding-window contraction (:func:`_diff`), and
+    the triple product is written out over the planes, without np.cross.
+    The derivatives, the transposed copies they take and the products'
+    terms are work arrays (:mod:`._workspace`), of which none is returned."""
     sx, sy, sz = planes
-    # _diff runs along axis 0: x derivatives through a view with x first (its output
-    # has the planes' layout), y derivatives on a transposed copy, copied back to planes
-    ax, ay, az = _diff(planes.transpose(1, 0, 2), h).transpose(1, 0, 2)
-    bx, by, bz = np.ascontiguousarray(
-        _diff(np.ascontiguousarray(planes.transpose(2, 0, 1)), h).transpose(1, 2, 0))
-    density = sx * (ay * bz - az * by)
-    density += sy * (az * bx - ax * bz)
-    density += sz * (ax * by - ay * bx)
-    del ax, ay, az, bx, by, bz  # not held through the footprint's temporaries
+    m = mask.shape[0]
+    density = np.empty(mask.shape) if out is None else out
+    with _workspace.frame() as take:
+        grad_y, grad_x = take((3, m, m)), take((m, 3, m))
+        # _diff runs along axis 0: y derivatives on a transposed copy (in grad_y's
+        # memory), copied back to the planes' layout, then x derivatives through a
+        # view with x first, whose output has the planes' layout
+        copy = grad_y.reshape(m, 3, m)
+        np.copyto(copy, planes.transpose(2, 0, 1))
+        np.copyto(grad_y, _diff(copy, h, grad_x).transpose(1, 2, 0))
+        grad_x = grad_x.reshape(3, m, m)
+        _diff(planes.transpose(1, 0, 2), h, grad_x.transpose(1, 0, 2))
+        (ax, ay, az), (bx, by, bz) = grad_x, grad_y
+        # each derivative enters two terms: the second writes its products over it
+        term = np.multiply(az, by, out=take((m, m)))
+        np.multiply(sx, np.subtract(np.multiply(ay, bz, out=density), term, out=density),
+                    out=density)
+        term = np.subtract(np.multiply(az, bx, out=az), np.multiply(ax, bz, out=bz), out=az)
+        density += np.multiply(sy, term, out=term)
+        term = np.subtract(np.multiply(ax, by, out=ax), np.multiply(ay, bx, out=ay), out=ax)
+        density += np.multiply(sz, term, out=term)
     density[_stencil_footprint(mask)] = 0.0
     return density
 
@@ -153,6 +168,8 @@ def _stencil_footprint(mask: np.ndarray) -> np.ndarray:
     """The points of ``mask`` and every point whose difference stencil
     (reaching STENCIL_ORDER // 2 points along each axis) touches one."""
     bad = mask.copy()
+    if not bad.any():
+        return bad
     for shift in range(1, STENCIL_ORDER // 2 + 1):
         bad[shift:, :] |= mask[:-shift, :]
         bad[:-shift, :] |= mask[shift:, :]
@@ -283,15 +300,28 @@ def _sweep_results(spec: HybridStateSpec, grid: GridSpec, weights, *,
     rounding decides the set, so mirror images may round apart from the
     channel's (equal in 99 of 198 odd-grid cases, N within 1.2e-20).
     ``weights`` are already checked; no result carries a texture.
+
+    The block, its Stokes planes, the unit planes (written over the Stokes
+    planes) and the quadrant's density (over S0) are work arrays
+    (:mod:`._workspace`), released before this returns: the results are
+    built lazily, so what they read, the envelope mask and the norms of the
+    quadrant, and the density they share are new arrays.
     """
     half, h = STENCIL_ORDER // 2, grid.spacing
-    coords, mask = _coords_block(spec, grid, waist, half)
-    block_mask = mask[-coords.shape[1]:, -coords.shape[1]:]
-    _, *s = (_stokes_map(pure_state(spec)).T @ coords.reshape(4, -1)).reshape(coords.shape)
-    norm = _vector_norm(*s)
-    planes, _ = _unit_planes(s, norm, block_mask)
-    density = np.empty(mask.shape)
-    _unfold(_density(planes, block_mask, h)[half:, half:], density)
+    size = (grid.samples_per_axis + 1) // 2 + half
+    with _workspace.frame() as take:
+        stokes = take((4, size, size))
+        with _workspace.frame() as take_block:  # the block's memory is free for the stencil
+            coords = take_block((4, size, size))
+            _, mask = _coords_block(spec, grid, waist, half, out=coords)
+            np.matmul(_stokes_map(pure_state(spec)).T, coords.reshape(4, -1),
+                      out=stokes.reshape(4, -1))
+        block_mask = mask[-size:, -size:]
+        s0, s = stokes[0], stokes[1:]
+        norm = _vector_norm(*s)  # new: the results read its quadrant
+        planes, _ = _unit_planes(s, norm, block_mask, out=s)
+        density = np.empty(mask.shape)
+        _unfold(_density(planes, block_mask, h, out=s0)[half:, half:], density)
     texture = _result(density, mask, mask, h)
     texture.density.flags.writeable = False
     quadrant = norm[half:, half:]
@@ -318,7 +348,8 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     (det M + n . adj(M) c) / |S|^3 for unit n; the cofactors, not the
     inverse, keep det M = 0 free of a branch.  The difference stencil runs
     once, on n, in ``bloch``; each state then costs one product
-    [K^T; cof(M) T] h^T, of S and cof(M) n, and a few (n, n) products.  S is
+    [K^T; cof(M) T] h^T, of S and cof(M) n, into a work array
+    (:mod:`._workspace`), and a few (n, n) products.  S is
     read from h, not formed as M n + c, which would carry the cancellation
     that :class:`CoeffField` keeps n_z and 1 apart to avoid, divided by |S|^3.
 
@@ -356,13 +387,14 @@ def pullback_skyrmion_number(rho, coeffs: CoeffField, bloch: SkyrmionResult) -> 
     m = k.T @ _F
     i, j = [1, 2, 0], [2, 0, 1]
     cofactors = m[i][:, i] * m[j][:, j] - m[i][:, j] * m[j][:, i]
-    # rows S1..S3, then cof(M) n = cof(M) T h: one product, one large array
-    rows = np.vstack([k.T, cofactors @ _T]) @ coeffs.coords.T
-    rows[3:] *= rows[:3]
-    density = rows[3:].sum(axis=0).reshape(shape)
-    rows[:3] *= rows[:3]
-    norm2 = rows[:3].sum(axis=0).reshape(shape)
-    del rows  # the (6, n^2) block is not held through the density's temporaries
+    with _workspace.frame() as take:
+        # rows S1..S3, then cof(M) n = cof(M) T h: one product into one work array
+        rows = np.matmul(np.vstack([k.T, cofactors @ _T]), coeffs.coords.T,
+                         out=take((6, coeffs.coords.shape[0])))
+        rows[3:] *= rows[:3]
+        density = rows[3:].sum(axis=0).reshape(shape)
+        rows[:3] *= rows[:3]
+        norm2 = rows[:3].sum(axis=0).reshape(shape)
     norm = np.sqrt(norm2)
     degenerate = (norm < DEGENERACY_EPS) | field.mask
     norm[degenerate] = norm2[degenerate] = 1.0

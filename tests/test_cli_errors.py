@@ -75,6 +75,22 @@ def test_underflowing_source_writes_no_sweep_table(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("pipeline = tomographic\nwindow = 1e-300\npair_rate = 1e-300",
+     "pair rate x window x duration = 1.0e-600 underflows double precision"),
+    ("pipeline = tomographic\npair_rate = 1e24",
+     "pair rate x window x duration = 2.5e+16 leaves no quantum contrast above 1"),
+    ("waist = 1e-300", "grid spacing "),
+], ids=["underflowing-source", "no-contrast-headroom", "tiny-waist"])
+def test_rejected_sweep_creates_no_directory(tmp_path, capsys, lines, message):
+    path = tmp_path / "s.cfg"
+    path.write_text(BASE + "values = 0.8\n" + lines + "\n")
+    out = tmp_path / "results"
+    assert run_error(capsys, ["sweep", "--config", str(path), "--out", str(out)]).startswith(
+        message)
+    assert not out.exists()
+
+
 def test_sweep_seed_flag_overrides_the_config_seed(tmp_path, capsys):
     def sweep(seed, flags=()):
         path = tmp_path / f"seed{seed}.cfg"

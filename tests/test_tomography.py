@@ -418,6 +418,17 @@ class TestMleReconstruct:
         counts[7] = 1.0
         assert _nll_grad(rho, _Likelihood(counts, np.zeros(36), 1.0)) == (math.inf, None, None)
 
+    def test_cholesky_likelihood_is_infinite_with_a_finite_gradient_there(self):
+        # the same state as t = e_0, L = diag(1, 0, 0, 0): an optimizer probing it gets
+        # an infinite value to back off from, not an exception
+        t = np.zeros(16)
+        t[0] = 1.0
+        counts = np.zeros(36)
+        counts[7] = 1.0
+        nll, grad = _poisson_nll_grad(t, counts, np.zeros(36), 1.0, _PROJECTORS)
+        assert nll == math.inf
+        assert grad.shape == (16,) and np.isfinite(grad).all()
+
     def test_projectors_are_outer_products_of_the_vectors(self):
         outer = np.einsum("ki,kj->kij", _VECTORS, _VECTORS.conj())
         np.testing.assert_allclose(outer, _PROJECTORS, rtol=0, atol=1e-15)
