@@ -3,8 +3,8 @@
 Drives the full pipelines from a key-value config file or command-line
 flags and writes plot-ready CSV tables (quantum_contrast, purity,
 concurrence, fidelity, skyrmion_number columns).  Exit codes: 0 success,
-1 validation error, 2 numerical warning (non-convergence or high
-residual).
+1 validation error, 2 numerical warning (non-convergence, high residual,
+or a gallery pair whose rounded numbers disagree).
 """
 
 from __future__ import annotations

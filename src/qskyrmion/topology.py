@@ -65,8 +65,9 @@ class SkyrmionResult:
     """Skyrmion number with its quantization diagnostics.
 
     ``rounded`` is advisory; ``residual`` = |number - rounded| is the error
-    gauge and is reported, never silently absorbed.  ``field`` is the texture
-    that the producing function documents (None from :func:`_sweep_results`).
+    gauge, always reported.  ``field`` is the texture its producer documents
+    (None from :func:`_sweep_results`); a fully degenerate result's
+    ``density`` is read-only zeros.
     """
 
     number: float
@@ -84,26 +85,25 @@ class ConvergenceRow:
     residual: float
 
 
+# the central difference of each order over its order + 1 points
+_STENCILS = {order: np.array([-w for w in weights[::-1]] + [0.0, *weights])
+             for order, weights in _CENTRAL_WEIGHTS.items()}
+# rows 0 .. STENCIL_ORDER // 2 - 1 of the difference operator, over its first
+# STENCIL_ORDER - 1 points: one-sided second order, then at row r the central difference
+# of order 2r, the widest that fits (B. Fornberg, Math. Comp. 51, 699 (1988))
+_EDGE_ROWS = np.array([[-3 / 2, 2, -1 / 2, *[0.0] * (STENCIL_ORDER - 4)]] + [
+    [*_STENCILS[k], *[0.0] * (STENCIL_ORDER - 2 - k)] for k in range(2, STENCIL_ORDER, 2)])
+
+
 def _diff(f: np.ndarray, spacing: float, out: np.ndarray) -> np.ndarray:
-    """Central differences of STENCIL_ORDER along axis 0, into ``out``,
-    narrowing the stencil toward the edges and finishing with one-sided
-    second-order differences at the boundary rows themselves."""
-    n = f.shape[0]
-    half = STENCIL_ORDER // 2
-    weights = np.asarray(_CENTRAL_WEIGHTS[STENCIL_ORDER])
-    stencil = np.concatenate([-weights[::-1], [0.0], weights])
-    np.einsum(
-        "i...k,k->i...", sliding_window_view(f, 2 * half + 1, axis=0),
-        stencil / spacing, out=out[half : n - half],
-    )
-    for i in list(range(1, half)) + list(range(n - half, n - 1)):
-        reach = min(i, n - 1 - i)
-        s = np.zeros_like(f[i])
-        for k, w in enumerate(_CENTRAL_WEIGHTS[2 * reach], start=1):
-            s += w * (f[i + k] - f[i - k])
-        out[i] = s / spacing
-    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * spacing)
-    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * spacing)
+    """Central differences of STENCIL_ORDER along axis 0, into ``out``: over
+    the sliding windows where the stencil fits, then ``_EDGE_ROWS`` at the near
+    edge and, negated, on reversed views of ``f`` and ``out`` at the far edge."""
+    half, edge = STENCIL_ORDER // 2, _EDGE_ROWS / spacing
+    np.einsum("i...k,k->i...", sliding_window_view(f, 2 * half + 1, axis=0),
+              _STENCILS[STENCIL_ORDER] / spacing, out=out[half : f.shape[0] - half])
+    np.einsum("ik,k...->i...", edge, f[: STENCIL_ORDER - 1], out=out[:half])
+    np.einsum("ik,k...->i...", -edge, f[::-1][: STENCIL_ORDER - 1], out=out[::-1][:half])
     return out
 
 
@@ -182,9 +182,9 @@ def skyrmion_number(field: UnitVectorField) -> SkyrmionResult:
     """Skyrmion number of a unit-vector texture by grid quadrature.
 
     Trapezoidal integral of :func:`skyrmion_density` over the window,
-    divided by 4*pi.  A fully masked (collapsed) field short-circuits to
-    exactly 0: the texture has contracted to a point and carries no
-    topology.  Poor convergence shows up in ``residual``; nothing raises.
+    divided by 4*pi.  A fully masked (collapsed) field, contracted to a point,
+    carries no topology: N = 0 exactly, with a read-only zero density.  Poor
+    convergence shows up in ``residual``; nothing raises.
     """
     density = None if field.collapsed else skyrmion_density(field)
     return _result(density, field.mask, field.mask, field.grid.spacing, field)
@@ -194,16 +194,16 @@ def _result(density, degenerate, mask, h: float,
             field: UnitVectorField | None = None) -> SkyrmionResult:
     """The result of a ``density`` that is zero on the stencil footprint of
     ``mask``, under the degenerate set ``degenerate`` that holds ``mask``:
-    exactly 0 if the set covers every point, else the trapezoidal integral
-    over 4*pi of the density, zeroed (in a new array) on the footprint of a
-    set grown beyond ``mask``.  The integral is ``w @ density @ w``, with
-    ``w`` the trapezoid weights of an axis: spacing ``h``, halved at either
-    end, which agrees with nested np.trapezoid to the rounding of the sums.
-    Every Skyrmion number of the package ends here.  ``field`` is the texture
-    the result carries."""
+    exactly 0 if the set covers every point, with a read-only zero density
+    that holds no memory, else the trapezoidal integral over 4*pi of the
+    density, zeroed (in a new array) on the footprint of a set grown beyond
+    ``mask``.  The integral is ``w @ density @ w``, with ``w`` the trapezoid
+    weights of an axis: spacing ``h``, halved at either end, which agrees
+    with nested np.trapezoid to the rounding of the sums.  Every Skyrmion
+    number of the package ends here.  ``field`` is the texture it carries."""
     count = np.count_nonzero(degenerate)
     if count == degenerate.size:
-        number, density = 0.0, np.zeros(degenerate.shape)
+        number, density = 0.0, np.broadcast_to(0.0, degenerate.shape)
     else:
         if count > np.count_nonzero(mask):
             density = np.where(_stencil_footprint(degenerate), 0.0, density)
@@ -247,9 +247,9 @@ def channel_skyrmion_numbers(rho, coeffs: CoeffField, weights) -> Iterator[Skyrm
         requested, with its texture as ``field``.  Every weight whose
         degenerate set is that of p = 1 gets the same result: the p = 1
         texture and a read-only density.  Any other weight gets the p = 1
-        texture with its set zeroed (a read-only zero view once every point
-        is masked) and the p = 1 density zeroed on the set's stencil
-        footprint, which is what the stencil gives on that texture.
+        texture with its set zeroed and the p = 1 density zeroed on the set's
+        stencil footprint, which is what the stencil gives on that texture;
+        once every point is masked, both are read-only zero views.
     """
     weights = [float(p) for p in weights]
     for p in weights:

@@ -28,6 +28,15 @@ class TestHybridStateSpec:
         with pytest.raises(ValueError):
             HybridStateSpec(0, 1, delta=math.nan)
 
+    @pytest.mark.parametrize("charge", [math.inf, math.nan])
+    def test_rejects_nonfinite_charge(self, charge):
+        with pytest.raises(ValueError, match="^topological charges must be finite integers$"):
+            HybridStateSpec(0, charge)
+
+    def test_rejects_non_integer_charge(self):
+        with pytest.raises(ValueError, match="^topological charges must be integers$"):
+            HybridStateSpec(0.5, 1)
+
 
 class TestPureState:
     def test_bell_matrix_for_zero_phase(self):
@@ -116,6 +125,12 @@ class TestDensityMatrix4:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix4(np.eye(4))
+
+    def test_rejects_non_hermitian(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 0.3
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            DensityMatrix4(m)
 
     def test_rejects_negative_eigenvalue_when_physical(self):
         m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)

@@ -8,7 +8,7 @@ writer's block of rows, and a single-row block.
 import numpy as np
 import pytest
 
-from qskyrmion import GridSpec, HybridStateSpec, skyrmion_number, texture_for_state
+from qskyrmion import GridSpec, HybridStateSpec, skyrmion_number, suggested_grid, texture_for_state
 from qskyrmion import cli
 from qskyrmion.cli import main, run_topology_gallery
 
@@ -54,3 +54,14 @@ def test_density_export_matches_reference(tmp_path, capsys, monkeypatch, chunk_r
         f"# skyrmion_number = {result.number:.12g}",
     ]
     assert path.read_text() == reference_text(header, "x,y,density", grid, result.density)
+
+
+def test_collapsed_density_export_matches_reference(tmp_path, capsys):
+    # the maximally mixed state's density is read-only zeros; it writes as zeros do
+    path = tmp_path / "density.csv"
+    code = main(["skyrmion", "--ell1", "0", "--ell2", "1", "--p", "0", "--samples", "32",
+                 "--density-out", str(path)])
+    assert code == 0
+    grid = suggested_grid(HybridStateSpec(0, 1), 32)
+    header = ["# samples_per_axis = 32", "# half_width = 24", "# skyrmion_number = 0"]
+    assert path.read_text() == reference_text(header, "x,y,density", grid, np.zeros((32, 32)))

@@ -15,6 +15,10 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(ell=1, waist=-2.0)
 
+    def test_rejects_non_integer_charge(self):
+        with pytest.raises(ValueError, match="^topological charge must be an integer$"):
+            ModeSpec(0.5)
+
 
 class TestGridSpec:
     def test_spacing(self):

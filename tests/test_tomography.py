@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import qskyrmion
 from qskyrmion import (
+    DensityMatrix4,
     HybridStateSpec,
     TomographyRecord,
     apply_isotropic_noise,
@@ -35,6 +36,7 @@ from qskyrmion import (
 from qskyrmion import cli, tomography
 from qskyrmion.stokesfield import _PAULI
 from qskyrmion.tomography import (
+    QC_CAP,
     _FACTOR_COORDINATES,
     _NEWTON_CONSTANTS,
     _Likelihood,
@@ -145,6 +147,10 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="finite"):
             simulate_counts(pure_state(BELL), **kwargs)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown sampling mode 'x'$"):
+            simulate_counts(pure_state(BELL), pair_rate=1e5, mode="x")
+
     @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
     def test_noiseless_pure_state_with_rounded_negative_probability(self, mode):
         # Tr(Pi rho) of a zero-probability setting comes out as -2.7e-32
@@ -161,6 +167,14 @@ class TestSimulateCounts:
                 coincidences=np.ones(35), singles_a=np.ones(36), singles_b=np.ones(36),
                 window=WINDOW, duration=1.0, pair_rate=1e5,
                 noise_rate_a=0.0, noise_rate_b=0.0)
+
+    @pytest.mark.parametrize("name", ["coincidences", "singles_a", "singles_b"])
+    def test_record_rejects_negative_counts(self, name):
+        arrays = {key: np.ones(36) for key in ("coincidences", "singles_a", "singles_b")}
+        arrays[name][4] = -1.0
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            TomographyRecord(**arrays, window=WINDOW, duration=1.0, pair_rate=1e5,
+                             noise_rate_a=0.0, noise_rate_b=0.0)
 
     @pytest.mark.parametrize("name", ["coincidences", "singles_a", "singles_b"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -224,6 +238,16 @@ class TestAverageQuantumContrast:
         value = average_quantum_contrast(rec)
         assert math.isfinite(value)
         assert value == 1e12
+
+    def test_no_valid_setting_warns_and_returns_the_cap(self):
+        rec = TomographyRecord(
+            coincidences=np.ones(36), singles_a=np.zeros(36), singles_b=np.full(36, 1e4),
+            window=WINDOW, duration=1.0, pair_rate=1.0, noise_rate_a=0.0, noise_rate_b=1e4)
+        with pytest.warns(UserWarning) as caught:
+            assert average_quantum_contrast(rec) == QC_CAP
+        assert [str(w.message) for w in caught] == [
+            "36 setting(s) with zero singles product excluded from the contrast average",
+            "no valid settings; returning capped contrast"]
 
     def test_ceiling_warns_and_clamps(self):
         with pytest.warns(UserWarning, match="ceiling"):
@@ -417,6 +441,21 @@ class TestMleReconstruct:
         counts = np.zeros(36)
         counts[7] = 1.0
         assert _nll_grad(rho, _Likelihood(counts, np.zeros(36), 1.0)) == (math.inf, None, None)
+
+    def test_start_without_expected_counts_where_counts_are_is_mixed_toward_i4(self):
+        # the start |l1, P1><l1, P1| expects no counts on setting 7, where the record
+        # has one, and there is no background (the likelihood is infinite there, as
+        # in the test above): the iterate is mixed toward I/4 first
+        start = np.zeros((4, 4), dtype=complex)
+        start[0, 0] = 1.0
+        counts = np.zeros(36)
+        counts[7] = 1.0
+        rec = TomographyRecord(
+            coincidences=counts, singles_a=np.zeros(36), singles_b=np.zeros(36),
+            window=WINDOW, duration=1.0, pair_rate=1.0, noise_rate_a=0.0, noise_rate_b=0.0)
+        est, default = mle_reconstruct(rec, init=DensityMatrix4(start)), mle_reconstruct(rec)
+        assert est.converged and default.converged
+        assert abs(est.log_likelihood - default.log_likelihood) <= est.gap + default.gap
 
     def test_cholesky_likelihood_is_infinite_with_a_finite_gradient_there(self):
         # the same state as t = e_0, L = diag(1, 0, 0, 0): an optimizer probing it gets
@@ -733,6 +772,11 @@ class TestWitnesses:
         for attr in ("purity", "concurrence", "fidelity"):
             vals = [getattr(r, attr) for r in reports]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_fidelity_rejects_unphysical_target(self):
+        m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+        with pytest.raises(ValueError, match="^fidelity needs a physical target$"):
+            fidelity(channel(0.5), m)
 
     def test_concurrence_rejects_unphysical_input(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)

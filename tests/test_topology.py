@@ -6,8 +6,12 @@ import pytest
 from qskyrmion import (
     GridSpec,
     HybridStateSpec,
+    bloch_texture,
+    channel_skyrmion_numbers,
     coeff_field,
     convergence_scan,
+    pullback_skyrmion_number,
+    pure_state,
     skyrmion_density,
     skyrmion_number,
     skyrmion_number_analytic,
@@ -15,7 +19,7 @@ from qskyrmion import (
     texture_for_state,
 )
 from qskyrmion.stokesfield import UnitVectorField
-from qskyrmion.topology import _CENTRAL_WEIGHTS, STENCIL_ORDER, _result
+from qskyrmion.topology import _CENTRAL_WEIGHTS, STENCIL_ORDER, _diff, _result, _sweep_results
 
 
 def constant_field(grid, direction=(0.0, 0.0, 1.0)):
@@ -174,6 +178,20 @@ class TestDensityKernel:
         want = oracle_density(vec, mask, grid.spacing)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         assert not got[stencil_footprint(mask)].any()
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 132])
+    def test_diff_matches_difference_matrix_on_every_row(self, rng, n):
+        f, spacing = rng.normal(size=(n, 3, 5)), 0.3
+        got = _diff(f, spacing, np.empty_like(f))
+        want = np.einsum("ij,j...->i...", difference_matrix(n, spacing), f)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 132])
+    def test_far_edge_is_the_mirrored_near_edge(self, rng, n):
+        f, half = rng.normal(size=(n, 3, n)), STENCIL_ORDER // 2
+        near = _diff(f[::-1], 0.3, np.empty_like(f))[:half]
+        far = _diff(f, 0.3, np.empty_like(f))[::-1][:half]
+        assert np.array_equal(near, -far)
 
     @pytest.mark.parametrize("point,count", [
         ((16, 16), 17), ((0, 0), 9), ((2, 31), 11), ((31, 5), 13), ((5, 3), 16),
@@ -378,3 +396,21 @@ class TestQuadrature:
         # a set grown to every point discards the density it is given
         some = rng.random((n, n)) < 0.3
         assert _result(rng.normal(size=(n, n)), everywhere, some, grid.spacing).number == 0.0
+
+
+def test_fully_degenerate_results_have_a_read_only_zero_density():
+    # the maximally mixed state's texture collapses to a point: N = 0 exactly,
+    # and its density is zeros that no caller can write into
+    spec, grid = HybridStateSpec(0, 3, 0.4), GridSpec(6.0, 33)
+    coeffs = coeff_field(spec, grid)
+    bloch = skyrmion_number(bloch_texture(coeffs))
+    results = [
+        *_sweep_results(spec, grid, [0.0], waist=1.0),
+        *channel_skyrmion_numbers(pure_state(spec), coeffs, [0.0]),
+        skyrmion_number(texture_for_state(spec, 0.0, grid)),
+        pullback_skyrmion_number(np.eye(4) / 4, coeffs, bloch),
+    ]
+    for result in results:
+        assert (result.number, result.residual, result.masked_fraction) == (0.0, 0.0, 1.0)
+        assert result.density.shape == (33, 33)
+        assert not result.density.any() and not result.density.flags.writeable
